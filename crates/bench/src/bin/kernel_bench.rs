@@ -23,13 +23,12 @@ use wlan_phy::Rate;
 use wlan_rf::receiver::{DoubleConversionReceiver, RfConfig, RfScratch};
 use wlan_sim::link::{FrontEnd, LinkConfig, LinkSimulation};
 
-/// Schema version of `BENCH_kernels.json`. Schema 2 added the
-/// batch-plane kernel entries (`*_batch_*`) and the
-/// `link.batched_identical` flag; schema 3 adds the per-profile link
-/// throughput map (`link.profiles`, packets/s per OFDM numerology —
-/// the `packets_per_s` key remains the 802.11a figure the baseline
-/// gate compares).
-const KERNEL_JSON_SCHEMA: u32 = 3;
+/// Schema version of `BENCH_kernels.json`. Schema 3 added the
+/// per-profile link throughput map (`link.profiles`, packets/s per OFDM
+/// numerology — the `packets_per_s` key remains the 802.11a figure the
+/// baseline gate compares); schema 4 drops the batch-plane kernel
+/// entries (`*_batch_*`) and the `link.batched_identical` flag.
+const KERNEL_JSON_SCHEMA: u32 = 4;
 
 /// Single-thread link throughput of the pre-optimization tree
 /// (commit `6c17661`), measured with the exact workload of
@@ -174,173 +173,6 @@ fn main() {
     });
     g.finish();
 
-    // --- Batch plane: N packets' samples per kernel call. ---
-    // RF chain: a multi-segment sample plane through one
-    // `process_batch_into` call, against the staged pipeline walking
-    // the segments one at a time. Bit-identity is pinned against the
-    // per-frame fused kernel on an identically-seeded receiver.
-    let batch_segments_n = 4usize;
-    let mut plane = Vec::new();
-    let mut segments = Vec::new();
-    for i in 0..batch_segments_n {
-        let seg = tone_dbm(1e6 + i as f64 * 0.5e6, 80e6, -45.0, rf_len);
-        segments.push(seg.len());
-        plane.extend_from_slice(&seg);
-    }
-    let mut batch_rx = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut serial_rx = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut staged_rx = DoubleConversionReceiver::new(RfConfig::default(), 42);
-    let mut out_plane = Vec::new();
-    let mut out_segments = Vec::new();
-    batch_rx.process_batch_into(
-        &plane,
-        &segments,
-        &mut scratch,
-        &mut out_plane,
-        &mut out_segments,
-    );
-    let mut want_plane = Vec::new();
-    let mut start = 0;
-    for &len in &segments {
-        serial_rx.process_into(&plane[start..start + len], &mut scratch, &mut y);
-        want_plane.extend_from_slice(&y);
-        start += len;
-    }
-    let rf_batch_ok = out_plane.len() == want_plane.len()
-        && out_segments.iter().sum::<usize>() == out_plane.len()
-        && out_plane
-            .iter()
-            .zip(&want_plane)
-            .all(|(a, b)| a.re == b.re && a.im == b.im);
-    identical &= rf_batch_ok;
-
-    let mut g = h.benchmark_group("rf_chain_batch");
-    g.throughput(Throughput::Elements(plane.len() as u64));
-    let rf_batch_opt_s = g.bench_function("process_batch_into", |b| {
-        b.iter(|| {
-            batch_rx.process_batch_into(
-                &plane,
-                &segments,
-                &mut scratch,
-                &mut out_plane,
-                &mut out_segments,
-            );
-            out_plane.len()
-        })
-    });
-    let rf_batch_ref_s = g.bench_function("staged_per_segment", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            let mut start = 0;
-            for &len in &segments {
-                n += staged_rx.process_staged(&plane[start..start + len]).len();
-                start += len;
-            }
-            n
-        })
-    });
-    g.finish();
-
-    // FFT: a bin-major 64×lanes plane through `forward64_batch`,
-    // against the scalar 64-point kernel looping over the lanes.
-    let fft_lanes = 16usize;
-    let mut rng = Rng::new(65);
-    let lane_inputs: Vec<Vec<Complex>> = (0..fft_lanes)
-        .map(|_| (0..64).map(|_| rng.complex_gaussian(1.0)).collect())
-        .collect();
-    let mut fplane = vec![Complex::ZERO; 64 * fft_lanes];
-    for (l, lane) in lane_inputs.iter().enumerate() {
-        for (k, &v) in lane.iter().enumerate() {
-            fplane[k * fft_lanes + l] = v;
-        }
-    }
-    let mut fwork = fplane.clone();
-    fft.forward64_batch(&mut fwork, fft_lanes);
-    let mut fft_batch_ok = true;
-    for (l, lane) in lane_inputs.iter().enumerate() {
-        let mut s = lane.clone();
-        fft.forward(&mut s);
-        for (k, &v) in s.iter().enumerate() {
-            fft_batch_ok &= fwork[k * fft_lanes + l] == v;
-        }
-    }
-    fft.inverse64_batch(&mut fwork, fft_lanes);
-    for (l, lane) in lane_inputs.iter().enumerate() {
-        let mut s = lane.clone();
-        fft.forward(&mut s);
-        fft.inverse(&mut s);
-        for (k, &v) in s.iter().enumerate() {
-            fft_batch_ok &= fwork[k * fft_lanes + l] == v;
-        }
-    }
-    identical &= fft_batch_ok;
-
-    let mut g = h.benchmark_group("fft64_batch");
-    g.throughput(Throughput::Elements((64 * fft_lanes) as u64));
-    let fft_batch_opt_s = g.bench_function("forward64_batch", |b| {
-        b.iter(|| {
-            fwork.copy_from_slice(&fplane);
-            fft.forward64_batch(&mut fwork, fft_lanes);
-            fwork[0]
-        })
-    });
-    let fft_batch_ref_s = g.bench_function("forward_per_lane", |b| {
-        b.iter(|| {
-            let mut acc = Complex::ZERO;
-            for lane in &lane_inputs {
-                buf.copy_from_slice(lane);
-                fft.forward(&mut buf);
-                acc += buf[0];
-            }
-            acc
-        })
-    });
-    g.finish();
-
-    // Viterbi: equal-length codewords decoded in lockstep from a
-    // step-major LLR plane, against the scalar decoder per lane.
-    let vit_lanes = 8usize;
-    let lane_llrs: Vec<Vec<Llr>> = (0..vit_lanes)
-        .map(|l| viterbi_workload(vit_bits, 100 + l as u64))
-        .collect();
-    let n_steps = lane_llrs[0].len() / 2;
-    let mut vplane = vec![0.0f64; 2 * n_steps * vit_lanes];
-    for t in 0..n_steps {
-        for (l, lane) in lane_llrs.iter().enumerate() {
-            vplane[t * 2 * vit_lanes + l] = lane[2 * t];
-            vplane[t * 2 * vit_lanes + vit_lanes + l] = lane[2 * t + 1];
-        }
-    }
-    let mut batch_bits = Vec::new();
-    dec.reserve_batch(n_steps, vit_lanes);
-    dec.decode_soft_batch(&vplane, vit_lanes, &mut batch_bits);
-    let mut vit_batch_ok = batch_bits.len() == n_steps * vit_lanes;
-    for (l, lane) in lane_llrs.iter().enumerate() {
-        dec.decode_soft_into(lane, &mut bits);
-        vit_batch_ok &= batch_bits[l * n_steps..(l + 1) * n_steps] == bits[..];
-    }
-    identical &= vit_batch_ok;
-
-    let mut g = h.benchmark_group("viterbi_batch");
-    g.throughput(Throughput::Elements((n_steps * vit_lanes) as u64));
-    let vit_batch_opt_s = g.bench_function("decode_soft_batch", |b| {
-        b.iter(|| {
-            dec.decode_soft_batch(&vplane, vit_lanes, &mut batch_bits);
-            batch_bits.len()
-        })
-    });
-    let vit_batch_ref_s = g.bench_function("decode_per_lane", |b| {
-        b.iter(|| {
-            let mut n = 0;
-            for lane in &lane_llrs {
-                dec.decode_soft_into(lane, &mut bits);
-                n += bits.len();
-            }
-            n
-        })
-    });
-    g.finish();
-
     // --- End-to-end link throughput (single thread). ---
     let sim = LinkSimulation::new(link_workload(link_packets, &wlan_phy::IEEE_802_11A));
     let first = sim.run();
@@ -349,12 +181,6 @@ fn main() {
         && first.decoded_packets == second.decoded_packets
         && first.evm_db == second.evm_db;
     identical &= link_ok;
-    // The batch driver must reproduce the serial reference exactly.
-    let batched = sim.run_batched(8);
-    let link_batched_ok = batched.meter == first.meter
-        && batched.decoded_packets == first.decoded_packets
-        && batched.evm_db == first.evm_db;
-    identical &= link_batched_ok;
     let mut best_s = f64::INFINITY;
     for _ in 0..link_runs {
         let t0 = Instant::now();
@@ -389,28 +215,12 @@ fn main() {
     let vit_speedup = vit_ref_s / vit_opt_s.max(1e-12);
     let fft_speedup = fft_ref_s / fft_opt_s.max(1e-12);
     let rf_speedup = rf_ref_s / rf_opt_s.max(1e-12);
-    let vit_batch_speedup = vit_batch_ref_s / vit_batch_opt_s.max(1e-12);
-    let fft_batch_speedup = fft_batch_ref_s / fft_batch_opt_s.max(1e-12);
-    let rf_batch_speedup = rf_batch_ref_s / rf_batch_opt_s.max(1e-12);
     println!("viterbi  {vit_speedup:.2}x vs reference, bit-identical: {vit_ok}");
     println!("fft64    {fft_speedup:.2}x vs radix-2 loop, bit-identical: {fft_ok}");
     println!("rf_chain {rf_speedup:.2}x vs staged, bit-identical: {rf_ok}");
     println!(
-        "viterbi_batch  {vit_batch_speedup:.2}x ({vit_lanes} lanes) vs scalar, \
-         bit-identical: {vit_batch_ok}"
-    );
-    println!(
-        "fft64_batch    {fft_batch_speedup:.2}x ({fft_lanes} lanes) vs scalar, \
-         bit-identical: {fft_batch_ok}"
-    );
-    println!(
-        "rf_chain_batch {rf_batch_speedup:.2}x ({batch_segments_n} segments) vs staged, \
-         bit-identical: {rf_batch_ok}"
-    );
-    println!(
         "link     {packets_per_s:.1} packets/s ({link_speedup:.2}x vs pre-PR \
-         {BASELINE_PACKETS_PER_S} packets/s), reproducible: {link_ok}, \
-         batched driver identical: {link_batched_ok}"
+         {BASELINE_PACKETS_PER_S} packets/s), reproducible: {link_ok}"
     );
     for (name, pps) in &profile_pps {
         println!("profile  {name}: {pps:.1} packets/s");
@@ -432,24 +242,11 @@ fn main() {
          \"fft64_opt_ns\": {:.1},\n    \"fft64_ref_ns\": {:.1},\n    \
          \"fft64_speedup\": {fft_speedup:.4},\n    \
          \"rf_chain_opt_ns\": {:.1},\n    \"rf_chain_ref_ns\": {:.1},\n    \
-         \"rf_chain_speedup\": {rf_speedup:.4},\n    \
-         \"viterbi_batch_lanes\": {vit_lanes},\n    \
-         \"viterbi_batch_opt_ns\": {:.1},\n    \"viterbi_batch_ref_ns\": {:.1},\n    \
-         \"viterbi_batch_speedup\": {vit_batch_speedup:.4},\n    \
-         \"viterbi_batch_identical\": {vit_batch_ok},\n    \
-         \"fft64_batch_lanes\": {fft_lanes},\n    \
-         \"fft64_batch_opt_ns\": {:.1},\n    \"fft64_batch_ref_ns\": {:.1},\n    \
-         \"fft64_batch_speedup\": {fft_batch_speedup:.4},\n    \
-         \"fft64_batch_identical\": {fft_batch_ok},\n    \
-         \"rf_chain_batch_segments\": {batch_segments_n},\n    \
-         \"rf_chain_batch_opt_ns\": {:.1},\n    \"rf_chain_batch_ref_ns\": {:.1},\n    \
-         \"rf_chain_batch_speedup\": {rf_batch_speedup:.4},\n    \
-         \"rf_chain_batch_identical\": {rf_batch_ok}\n  }},\n  \"link\": {{\n    \
+         \"rf_chain_speedup\": {rf_speedup:.4}\n  }},\n  \"link\": {{\n    \
          \"packets\": {link_packets},\n    \"runs\": {link_runs},\n    \
          \"packets_per_s\": {packets_per_s:.1},\n    \
          \"baseline_packets_per_s\": {BASELINE_PACKETS_PER_S},\n    \
          \"speedup\": {link_speedup:.4},\n    \
-         \"batched_identical\": {link_batched_ok},\n    \
          \"profiles\": {{{profiles_json}}}\n  }},\n  \
          \"identical\": {identical}\n}}\n",
         vit_opt_s * 1e9,
@@ -458,12 +255,6 @@ fn main() {
         fft_ref_s * 1e9,
         rf_opt_s * 1e9,
         rf_ref_s * 1e9,
-        vit_batch_opt_s * 1e9,
-        vit_batch_ref_s * 1e9,
-        fft_batch_opt_s * 1e9,
-        fft_batch_ref_s * 1e9,
-        rf_batch_opt_s * 1e9,
-        rf_batch_ref_s * 1e9,
     );
     match std::fs::write("BENCH_kernels.json", &json) {
         Ok(()) => println!("(BENCH_kernels.json written)"),

@@ -115,9 +115,9 @@ fn main() {
         .map(|v| v != "0")
         .unwrap_or(false);
     let sessions = if smoke { 8 } else { 64 };
-    // Warm-up must cover two chunks per session: the batch plane
-    // double-buffers, so its arenas only reach their high-water mark
-    // after the second chunk (see `zero_alloc.rs`).
+    // Warm-up covers two chunks per session, so every arena has
+    // reached its high-water mark before the steady-state round is
+    // counted (see `zero_alloc.rs`).
     let (warm, steady) = if smoke { (8, 8) } else { (8, 16) };
     let workers = std::env::var("WLANSIM_SERVE_WORKERS")
         .ok()

@@ -2,8 +2,8 @@
 //! (`wlan_sim::serve`): for any worker count, chunk size, or chunk
 //! interleaving, a served session's accumulated [`LinkReport`] must be
 //! **bit-identical** to a one-shot serial [`LinkSimulation::run`] over
-//! the same traffic — the same guarantee `run_batched` already gives,
-//! extended to interleaved multi-session scheduling.
+//! the same traffic: a chunk is the next run of that loop's packets,
+//! whichever worker serves it and whatever else shares the engine.
 
 use wlan_exec::{split_seed, ThreadPool};
 use wlan_phy::Rate;
@@ -41,6 +41,25 @@ fn rf_link(session: usize, packets: usize) -> LinkConfig {
         rx_level_dbm: -50.0,
         adjacent: Some(AdjacentChannel::first()),
         front_end: FrontEnd::RfBaseband(RfConfig::default()),
+        ..LinkConfig::default()
+    }
+}
+
+/// Mixed-signal co-simulation session (small `analog_osr` keeps the
+/// RK4 engine affordable): the analog device state and the discrete
+/// front-end noise stream both carry across chunks.
+fn cosim_link(session: usize, packets: usize) -> LinkConfig {
+    LinkConfig {
+        rate: Rate::R24,
+        psdu_len: 40,
+        packets,
+        seed: split_seed(7200, session as u64, 0),
+        rx_level_dbm: -50.0,
+        front_end: FrontEnd::RfCosim {
+            filter_edge_hz: 10e6,
+            analog_osr: 2,
+            noise_workaround: true,
+        },
         ..LinkConfig::default()
     }
 }
@@ -106,6 +125,17 @@ fn rf_baseband_sessions_identical_across_workers_and_chunking() {
     for workers in [1usize, 4] {
         for chunk in [1usize, 3] {
             check_grid(rf_link, 2, packets, workers, chunk);
+        }
+    }
+}
+
+#[test]
+fn rf_cosim_sessions_identical_across_workers_and_chunking() {
+    // Same grid shape as the RF-baseband case: 4 = 3 + 1 is ragged.
+    let packets = 4;
+    for workers in [1usize, 4] {
+        for chunk in [1usize, 3] {
+            check_grid(cosim_link, 2, packets, workers, chunk);
         }
     }
 }

@@ -3,9 +3,9 @@
 //! runs, and the longer run must not allocate a single time more than
 //! the short one. Everything the extra packets need — transmit
 //! waveform, channel scene, multipath taps, receive scratch — already
-//! lives in the [`PacketScratch`] arena grown during the first packet,
-//! and the batch driver's [`BatchScratch`] plane stabilizes after its
-//! first full batch.
+//! lives in the per-packet arena grown during the first packet. The
+//! session engine, which serves chunks through the same loop, must not
+//! allocate at all once its sessions are admitted and warm.
 //!
 //! The test binary holds exactly one `#[test]` so no sibling test can
 //! allocate on another thread while the counter is armed.
@@ -92,10 +92,9 @@ fn cosim_config(packets: usize) -> LinkConfig {
     }
 }
 
-/// The batch driver over the ideal front end plus block-fading
-/// multipath, so the plane, the regenerated taps and the convolution
-/// arena are all exercised.
-fn batched_config(packets: usize) -> LinkConfig {
+/// The ideal front end plus block-fading multipath, so the regenerated
+/// taps and the convolution arena are exercised.
+fn fading_config(packets: usize) -> LinkConfig {
     LinkConfig {
         multipath_trms_s: Some(50e-9),
         ..ideal_config(packets)
@@ -125,18 +124,6 @@ fn allocs_for(cfg: LinkConfig) -> u64 {
     let sim = LinkSimulation::new(cfg);
     min_allocs(|| {
         let (report, allocs) = count_allocs(|| sim.run());
-        assert_eq!(report.packets, packets);
-        assert!(report.decoded_packets > 0, "workload must decode");
-        allocs
-    })
-}
-
-/// Allocations of a full `run_batched(batch)` of `cfg`.
-fn allocs_for_batched(cfg: LinkConfig, batch: usize) -> u64 {
-    let packets = cfg.packets;
-    let sim = LinkSimulation::new(cfg);
-    min_allocs(|| {
-        let (report, allocs) = count_allocs(|| sim.run_batched(batch));
         assert_eq!(report.packets, packets);
         assert!(report.decoded_packets > 0, "workload must decode");
         allocs
@@ -180,20 +167,12 @@ fn steady_state_link_loop_is_allocation_free() {
         allocs_for(cosim_config(2)),
         allocs_for(cosim_config(6)),
     );
-    // Batch driver: the SoA plane double-buffers (batch 1 grows the
-    // front buffer, batch 2 the back buffer), so compare from the
-    // third batch on.
-    let _ = allocs_for_batched(batched_config(1), 4);
+    // Block-fading multipath: the taps are redrawn in place per packet.
+    let _ = allocs_for(fading_config(1));
     assert_steady_state(
-        "ideal batched",
-        allocs_for_batched(batched_config(8), 4),
-        allocs_for_batched(batched_config(16), 4),
-    );
-    let _ = allocs_for_batched(rf_config(1), 4);
-    assert_steady_state(
-        "rf baseband batched",
-        allocs_for_batched(rf_config(8), 4),
-        allocs_for_batched(rf_config(16), 4),
+        "ideal fading serial",
+        allocs_for(fading_config(2)),
+        allocs_for(fading_config(12)),
     );
     // Streaming session engine: after admission (which preallocates the
     // arenas, rings, queues and latency log) and one warm drive, a
@@ -209,14 +188,16 @@ fn steady_state_link_loop_is_allocation_free() {
 /// closure: each call feeds every session another burst and counts the
 /// allocations of the (inline) drive that serves it.
 ///
-/// Warm-up covers two chunks per session so the batch plane's double
-/// buffering reaches its high-water mark, and the admission budget
-/// covers the three measured rounds `min_allocs` takes.
+/// Three `Ideal` sessions share the engine with one `RfBaseband`
+/// session carrying the adjacent channel, so the proof covers the RF
+/// scene and receiver chain as served, not only the DSP path. Warm-up
+/// covers two chunks per session, and the admission budget covers the
+/// three measured rounds `min_allocs` takes.
 fn serve_round() -> impl FnMut() -> u64 {
     const WARM: usize = 4;
     const STEADY: usize = 4;
     let mut eng = SessionEngine::new(ServeConfig {
-        max_sessions: 3,
+        max_sessions: 4,
         chunk_packets: 2,
         ring_chunks: 2,
     });
@@ -227,6 +208,7 @@ fn serve_round() -> impl FnMut() -> u64 {
         };
         eng.admit(link, WARM + 3 * STEADY).unwrap();
     }
+    eng.admit(rf_config(WARM), WARM + 3 * STEADY).unwrap();
     let pool = ThreadPool::serial();
     eng.drive(&pool);
     move || {
@@ -235,7 +217,7 @@ fn serve_round() -> impl FnMut() -> u64 {
         ARMED.store(true, Ordering::SeqCst);
         let stats = eng.drive(&pool);
         ARMED.store(false, Ordering::SeqCst);
-        assert_eq!(stats.sessions, 3);
+        assert_eq!(stats.sessions, 4);
         ALLOCS.load(Ordering::SeqCst)
     }
 }

@@ -144,6 +144,24 @@ pub struct LinkReport {
 }
 
 impl LinkReport {
+    /// The report of the packets accumulated in `acc`, which took
+    /// `elapsed`. The mean EVM divides the running per-packet sum once,
+    /// at the end, so a session served in chunks reports the same bits
+    /// as [`LinkSimulation::run`].
+    pub(crate) fn from_shard(acc: ShardReport, elapsed: Duration) -> Self {
+        LinkReport {
+            packets: acc.packets,
+            decoded_packets: acc.decoded_packets,
+            meter: acc.meter,
+            evm_db: if acc.decoded_packets > 0 {
+                Some(acc.evm_sum_db / acc.decoded_packets as f64)
+            } else {
+                None
+            },
+            elapsed,
+        }
+    }
+
     /// Bit error rate.
     pub fn ber(&self) -> f64 {
         self.meter.ber()
@@ -162,7 +180,7 @@ pub(crate) struct FrontEndState {
     bb: Option<DoubleConversionReceiver>,
     cosim: Option<CosimReceiver>,
     noise: Awgn,
-    pub(crate) scratch: PacketScratch,
+    scratch: PacketScratch,
 }
 
 /// Per-packet buffer arena: every transmit/channel/receive intermediate
@@ -170,7 +188,7 @@ pub(crate) struct FrontEndState {
 /// steady-state simulation of every front-end level — including the
 /// oversampled scene renderer and the multipath channel of the RF
 /// paths — performs zero heap allocation.
-pub(crate) struct PacketScratch {
+struct PacketScratch {
     /// Transmitted PSDU of the current packet.
     psdu: Vec<u8>,
     /// Long-lived transmitter, re-seeded per packet.
@@ -181,7 +199,7 @@ pub(crate) struct PacketScratch {
     /// Padded + noisy channel output ([`FrontEnd::Ideal`]).
     chan: Vec<Complex>,
     /// Receiver working buffers; holds the decoded PSDU after a success.
-    pub(crate) rx: RxScratch,
+    rx: RxScratch,
     rf: RfScratch,
     /// Decimated front-end output (RF modes).
     rf_out: Vec<Complex>,
@@ -231,37 +249,17 @@ impl PacketScratch {
     }
 }
 
-/// Batch-plane arena of [`LinkSimulation::run_batched`]: the
-/// concatenated per-packet front-end inputs (`plane` + `segments`), the
-/// matching DSP-rate outputs (`out_plane` + `out_segments`) and the
-/// transmitted payloads of the in-flight batch. Capacity survives
-/// between batches, so the batch driver is steady-state
-/// allocation-free.
-#[derive(Debug, Default)]
-pub(crate) struct BatchScratch {
-    /// Front-end input samples of every packet in the batch,
-    /// concatenated in packet order (the SoA sample plane).
-    plane: Vec<Complex>,
-    /// Per-packet lengths inside `plane`.
-    segments: Vec<usize>,
-    /// DSP-rate front-end outputs, concatenated in packet order.
-    pub(crate) out_plane: Vec<Complex>,
-    /// Per-packet lengths inside `out_plane`.
-    pub(crate) out_segments: Vec<usize>,
-    /// Transmitted PSDUs, `psdu_len` bytes per packet.
-    pub(crate) psdus: Vec<u8>,
-}
-
 /// What one simulated packet produced. The payload bytes stay in the
 /// [`PacketScratch`]: `scratch.psdu` (transmitted) and `scratch.rx.psdu`
 /// (decoded).
-enum PacketOutcome {
+pub(crate) enum PacketOutcome {
     Decoded { evm_db: f64 },
     Lost,
 }
 
-/// Accumulated result of one Monte-Carlo shard (a batch of frames with
-/// its own seed stream). Merged in shard order by the parallel driver.
+/// Accumulated result of a run of consecutive frames: one Monte-Carlo
+/// shard with its own seed stream (merged in shard order by the
+/// parallel driver), a whole serial run, or a served session so far.
 #[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// BER statistics over the shard's frames.
@@ -272,6 +270,24 @@ pub struct ShardReport {
     pub evm_sum_db: f64,
     /// Frames simulated.
     pub packets: usize,
+}
+
+impl ShardReport {
+    /// Books one packet: a decoded packet compares the transmitted and
+    /// decoded payloads left in `fe`'s arena, a lost one counts every
+    /// payload bit as an error.
+    pub(crate) fn record(&mut self, outcome: PacketOutcome, fe: &FrontEndState) {
+        let sent = &fe.scratch.psdu;
+        match outcome {
+            PacketOutcome::Decoded { evm_db } => {
+                self.meter.update_bytes(sent, &fe.scratch.rx.psdu);
+                self.evm_sum_db += evm_db;
+                self.decoded_packets += 1;
+            }
+            PacketOutcome::Lost => self.meter.update_lost_packet(8 * sent.len()),
+        }
+        self.packets += 1;
+    }
 }
 
 impl McAccumulator for ShardReport {
@@ -342,223 +358,9 @@ impl LinkSimulation {
 
     /// Runs all packets and accumulates the report.
     pub fn run(&self) -> LinkReport {
-        let cfg = &self.config;
         let started = Instant::now();
-        let mut rng = Rng::new(cfg.seed);
-        let mut fe = self.front_end_state(cfg.seed);
-        let rx = Receiver::with_profile(self.config.profile);
-        let mut meter = BerMeter::new();
-        let mut evm_acc = 0.0f64;
-        let mut decoded = 0usize;
-
-        for pkt in 0..cfg.packets {
-            match self.sim_packet(pkt, &mut rng, &mut fe, &rx) {
-                PacketOutcome::Decoded { evm_db } => {
-                    meter.update_bytes(&fe.scratch.psdu, &fe.scratch.rx.psdu);
-                    evm_acc += evm_db;
-                    decoded += 1;
-                }
-                PacketOutcome::Lost => {
-                    meter.update_lost_packet(8 * cfg.psdu_len);
-                }
-            }
-        }
-
-        LinkReport {
-            packets: cfg.packets,
-            decoded_packets: decoded,
-            meter,
-            evm_db: if decoded > 0 {
-                Some(evm_acc / decoded as f64)
-            } else {
-                None
-            },
-            elapsed: started.elapsed(),
-        }
-    }
-
-    /// Runs all packets through the batch plane: per batch of
-    /// `batch_packets` frames, the shared-stream stages (payload draw,
-    /// transmit, multipath, scene, front-end noise) run packet-major in
-    /// exactly the serial order, the per-packet front-end inputs are
-    /// concatenated into one contiguous sample plane, and the RF chain
-    /// then runs *stage-major across the whole plane*
-    /// ([`DoubleConversionReceiver::process_batch_into`]) before the DSP
-    /// receiver decodes each segment.
-    ///
-    /// Every stage state machine and every private noise stream sees the
-    /// same input sequence as in [`LinkSimulation::run`], so the report
-    /// is **bit-identical to the serial loop for any batch size** —
-    /// `run` stays the reference the differential tests compare against.
-    /// [`FrontEnd::Ideal`] and [`FrontEnd::RfCosim`] have no cross-packet
-    /// plane kernel; their segments fall back to per-packet processing
-    /// in packet order (which preserves the identity trivially).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_packets` is zero.
-    pub fn run_batched(&self, batch_packets: usize) -> LinkReport {
-        assert!(batch_packets >= 1, "batch must hold at least one packet");
-        let cfg = &self.config;
-        let started = Instant::now();
-        let mut rng = Rng::new(cfg.seed);
-        let mut fe = self.front_end_state(cfg.seed);
-        let rx = Receiver::with_profile(self.config.profile);
-        let mut meter = BerMeter::new();
-        let mut evm_acc = 0.0f64;
-        let mut decoded = 0usize;
-        let mut batch = BatchScratch::default();
-
-        let mut first = 0;
-        while first < cfg.packets {
-            let n = batch_packets.min(cfg.packets - first);
-            self.run_batch(first, n, &mut rng, &mut fe, &mut batch);
-            // Per-packet bookkeeping in packet order, exactly like the
-            // serial loop.
-            let mut start = 0;
-            for (i, &len) in batch.out_segments.iter().enumerate() {
-                let seg = &batch.out_plane[start..start + len];
-                let sent = &batch.psdus[i * cfg.psdu_len..(i + 1) * cfg.psdu_len];
-                match rx.receive_into(seg, &mut fe.scratch.rx) {
-                    Ok(sum) if fe.scratch.rx.psdu.len() == sent.len() => {
-                        meter.update_bytes(sent, &fe.scratch.rx.psdu);
-                        evm_acc += sum.evm_db();
-                        decoded += 1;
-                    }
-                    _ => meter.update_lost_packet(8 * cfg.psdu_len),
-                }
-                start += len;
-            }
-            first += n;
-        }
-
-        LinkReport {
-            packets: cfg.packets,
-            decoded_packets: decoded,
-            meter,
-            evm_db: if decoded > 0 {
-                Some(evm_acc / decoded as f64)
-            } else {
-                None
-            },
-            elapsed: started.elapsed(),
-        }
-    }
-
-    /// One batch of the batch plane: stages A (packet-major shared-rng
-    /// transmit/channel into the concatenated plane) and B (front end
-    /// over the plane), leaving the per-packet DSP inputs in
-    /// `batch.out_plane`/`batch.out_segments` and the transmitted
-    /// payloads in `batch.psdus`.
-    pub(crate) fn run_batch(
-        &self,
-        first: usize,
-        n: usize,
-        rng: &mut Rng,
-        fe: &mut FrontEndState,
-        batch: &mut BatchScratch,
-    ) {
-        let cfg = &self.config;
-        let FrontEndState {
-            bb,
-            cosim,
-            noise,
-            scratch,
-        } = fe;
-        let PacketScratch {
-            psdu,
-            tx,
-            txs,
-            burst,
-            chan: _,
-            rx: _,
-            rf,
-            rf_out,
-            adj_psdu,
-            padded,
-            faded,
-            chan_model,
-            renderer,
-            adj_tx,
-            adj_burst,
-            scene,
-        } = scratch;
-
-        batch.plane.clear();
-        batch.segments.clear();
-        batch.psdus.clear();
-        for i in 0..n {
-            let pkt = first + i;
-            psdu.clear();
-            psdu.resize(cfg.psdu_len, 0);
-            rng.bytes(psdu);
-            batch.psdus.extend_from_slice(psdu);
-            let seed_bits = ((pkt as u8).wrapping_mul(37) % 127) + 1;
-            tx.set_scrambler_seed(seed_bits);
-            tx.transmit_into(psdu, txs, burst);
-
-            if let Some(trms) = cfg.multipath_trms_s {
-                chan_model.regenerate_rayleigh_exponential(trms, cfg.profile.sample_rate, rng);
-                chan_model.apply_into(burst, faded);
-                std::mem::swap(burst, faded);
-            }
-
-            let seg_start = batch.plane.len();
-            match &cfg.front_end {
-                FrontEnd::Ideal => {
-                    batch.plane.reserve(burst.len() + 400);
-                    batch.plane.extend(std::iter::repeat_n(Complex::ZERO, 200));
-                    batch.plane.extend_from_slice(burst);
-                    batch.plane.extend(std::iter::repeat_n(Complex::ZERO, 200));
-                    if let Some(snr) = cfg.snr_db {
-                        let np = wlan_dsp::math::db_to_lin(-snr);
-                        noise.add_noise_power_in_place(&mut batch.plane[seg_start..], np);
-                    }
-                }
-                FrontEnd::RfBaseband(_) | FrontEnd::RfCosim { .. } => {
-                    Self::build_scene_into(
-                        cfg, pkt, rng, burst, padded, renderer, adj_tx, txs, adj_psdu, adj_burst,
-                        scene,
-                    );
-                    self.add_frontend_noise(scene, cfg, noise);
-                    batch.plane.extend_from_slice(scene);
-                }
-            }
-            batch.segments.push(batch.plane.len() - seg_start);
-        }
-
-        match &cfg.front_end {
-            FrontEnd::Ideal => {
-                // No front end: the plane segments are the DSP inputs.
-                std::mem::swap(&mut batch.plane, &mut batch.out_plane);
-                std::mem::swap(&mut batch.segments, &mut batch.out_segments);
-            }
-            FrontEnd::RfBaseband(_) => {
-                let bb = bb.as_mut().expect("baseband front end");
-                bb.process_batch_into(
-                    &batch.plane,
-                    &batch.segments,
-                    rf,
-                    &mut batch.out_plane,
-                    &mut batch.out_segments,
-                );
-            }
-            FrontEnd::RfCosim { .. } => {
-                // The analog engine already runs device-major over
-                // chunks; batch the packets by processing the segments
-                // in packet order (state carries exactly as serially).
-                let cs = cosim.as_mut().expect("cosim front end");
-                batch.out_plane.clear();
-                batch.out_segments.clear();
-                let mut start = 0;
-                for &len in &batch.segments {
-                    cs.process_into(&batch.plane[start..start + len], rf_out);
-                    batch.out_plane.extend_from_slice(rf_out);
-                    batch.out_segments.push(rf_out.len());
-                    start += len;
-                }
-            }
-        }
+        let report = self.run_shard(0, self.config.packets, self.config.seed);
+        LinkReport::from_shard(report, started.elapsed())
     }
 
     /// Runs one shard of the Monte-Carlo schedule: `packets` frames with
@@ -569,26 +371,13 @@ impl LinkSimulation {
     /// with frame identity, so the shard decomposition — not the
     /// execution order — defines the result.
     pub fn run_shard(&self, first_packet: usize, packets: usize, seed: u64) -> ShardReport {
-        let cfg = &self.config;
         let mut rng = Rng::new(seed);
         let mut fe = self.front_end_state(seed);
         let rx = Receiver::with_profile(self.config.profile);
         let mut report = ShardReport::default();
-
-        for i in 0..packets {
-            match self.sim_packet(first_packet + i, &mut rng, &mut fe, &rx) {
-                PacketOutcome::Decoded { evm_db } => {
-                    report
-                        .meter
-                        .update_bytes(&fe.scratch.psdu, &fe.scratch.rx.psdu);
-                    report.evm_sum_db += evm_db;
-                    report.decoded_packets += 1;
-                }
-                PacketOutcome::Lost => {
-                    report.meter.update_lost_packet(8 * cfg.psdu_len);
-                }
-            }
-            report.packets += 1;
+        for pkt in first_packet..first_packet + packets {
+            let outcome = self.sim_packet(pkt, &mut rng, &mut fe, &rx);
+            report.record(outcome, &fe);
         }
         report
     }
@@ -625,18 +414,7 @@ impl LinkSimulation {
             let n = shard_packets.min(cfg.packets - first);
             self.run_shard(first, n, split_seed(cfg.seed, mc.point_index, shard as u64))
         });
-        let acc: ShardReport = outcome.acc;
-        LinkReport {
-            packets: acc.packets,
-            decoded_packets: acc.decoded_packets,
-            meter: acc.meter,
-            evm_db: if acc.decoded_packets > 0 {
-                Some(acc.evm_sum_db / acc.decoded_packets as f64)
-            } else {
-                None
-            },
-            elapsed: started.elapsed(),
-        }
+        LinkReport::from_shard(outcome.acc, started.elapsed())
     }
 
     /// Builds the per-run front-end state (filters settle across the
@@ -679,7 +457,7 @@ impl LinkSimulation {
 
     /// Simulates one packet: transmit, channel, front end, receive. All
     /// buffers come from the [`PacketScratch`] arena in `fe`.
-    fn sim_packet(
+    pub(crate) fn sim_packet(
         &self,
         pkt: usize,
         rng: &mut Rng,
@@ -1003,69 +781,6 @@ mod tests {
         });
         // 50 ns delay spread fits comfortably in the 800 ns guard.
         assert!(r.ber() < 0.01, "ber {}", r.ber());
-    }
-
-    #[test]
-    fn run_batched_matches_run_bit_identical() {
-        // Every front-end level; batch sizes 1, 3 (ragged last batch)
-        // and one larger than the packet budget. The batch driver must
-        // reproduce the serial reference exactly: same meter, same
-        // decode count, same EVM sum to the last bit.
-        let cases = vec![
-            LinkConfig {
-                packets: 5,
-                psdu_len: 60,
-                rate: Rate::R36,
-                snr_db: Some(12.0),
-                multipath_trms_s: Some(50e-9),
-                seed: 13,
-                ..LinkConfig::default()
-            },
-            LinkConfig {
-                packets: 4,
-                psdu_len: 48,
-                rate: Rate::R24,
-                rx_level_dbm: -50.0,
-                adjacent: Some(AdjacentChannel::first()),
-                front_end: FrontEnd::RfBaseband(RfConfig::default()),
-                seed: 14,
-                ..LinkConfig::default()
-            },
-            LinkConfig {
-                packets: 2,
-                psdu_len: 40,
-                rx_level_dbm: -50.0,
-                front_end: FrontEnd::RfCosim {
-                    filter_edge_hz: 10e6,
-                    analog_osr: 2,
-                    noise_workaround: true,
-                },
-                seed: 15,
-                ..LinkConfig::default()
-            },
-        ];
-        for cfg in cases {
-            let label = format!("{:?}", cfg.front_end);
-            let sim = LinkSimulation::new(cfg);
-            let want = sim.run();
-            for batch in [1usize, 3, 16] {
-                let got = sim.run_batched(batch);
-                assert_eq!(got.meter, want.meter, "{label} batch {batch}");
-                assert_eq!(got.decoded_packets, want.decoded_packets, "{label}");
-                assert_eq!(got.evm_db, want.evm_db, "{label} batch {batch}");
-                assert_eq!(got.packets, want.packets);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_batch_panics() {
-        let sim = LinkSimulation::new(LinkConfig {
-            packets: 1,
-            ..LinkConfig::default()
-        });
-        let _ = sim.run_batched(0);
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //! 1. **Determinism.** Every session carries its own forked RNG stream
 //!    and front-end state, and its chunks are processed strictly in
 //!    order (a session is never claimed by two workers at once — it
-//!    lives in the run queue at most once). Chunk processing is exactly
-//!    the body of [`LinkSimulation::run_batched`]'s batch loop with the
+//!    lives in the run queue at most once). A chunk is the next run of
+//!    packets of [`LinkSimulation::run`]'s per-packet loop with the
 //!    state carried across chunks, so a session's accumulated
 //!    [`LinkReport`] is **bit-identical to `LinkSimulation::run`** for
 //!    any worker count, chunk size, or interleaving.
 //! 2. **No allocation after admission.** [`SessionEngine::admit`]
 //!    preallocates everything the session will ever need: the
-//!    [`PacketScratch`]/[`BatchScratch`] arenas (worst-case receive
-//!    scratch included), the chunk-result ring, the scheduler queues
+//!    per-packet arena (worst-case receive scratch included), the
+//!    front-end state, the chunk-result ring, the scheduler queues
 //!    and the latency log (sized by the admission-time packet budget).
 //!    Steady-state serving performs zero heap allocations — proved by
 //!    the counting-allocator cases in `zero_alloc.rs` and the
@@ -42,14 +42,13 @@
 //! thread, which is both the bit-identical reference configuration and
 //! the configuration the counting-allocator proof measures.
 
-use crate::link::{BatchScratch, FrontEndState, LinkConfig, LinkReport, LinkSimulation};
+use crate::link::{FrontEndState, LinkConfig, LinkReport, LinkSimulation, ShardReport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wlan_dsp::Rng;
 use wlan_exec::ThreadPool;
-use wlan_meas::BerMeter;
 use wlan_phy::Receiver;
 
 /// Engine sizing: every bound is fixed at construction and enforced,
@@ -59,9 +58,9 @@ pub struct ServeConfig {
     /// Admission capacity: [`SessionEngine::admit`] rejects session
     /// `max_sessions + 1`.
     pub max_sessions: usize,
-    /// Packets per scheduling chunk (the batch size of the per-chunk
-    /// [`LinkSimulation::run_batched`] plane). The last chunk of a
-    /// session may be ragged.
+    /// Packets per scheduling chunk: a worker simulates this many
+    /// consecutive packets of one session before the session goes back
+    /// to the run queue. The last chunk of a session may be ragged.
     pub chunk_packets: usize,
     /// Per-session result-ring capacity in chunks. A worker that finds
     /// the ring full parks the session until the collector drains it.
@@ -182,24 +181,21 @@ impl ChunkRing {
 }
 
 /// Everything a worker needs to advance one session: the simulation,
-/// its forked RNG stream, the settled front-end filters, the batch
-/// plane, and the accumulated report state. Owned by exactly one
-/// worker at a time (per-session mutex), never by two.
+/// its forked RNG stream, the settled front-end filters and packet
+/// arena, and the accumulated report. Owned by exactly one worker at a
+/// time (per-session mutex), never by two.
 struct SessionCore {
     sim: LinkSimulation,
     rng: Rng,
     fe: FrontEndState,
-    batch: BatchScratch,
     rx: Receiver,
-    /// Packets fully processed so far.
-    next_packet: usize,
+    /// Packets fully processed so far (`report.packets`) and their
+    /// accumulated statistics.
+    report: ShardReport,
     /// Packets fed so far (admission + [`SessionEngine::feed`]).
     fed: usize,
     /// Admission-time ceiling on `fed`.
     max_packets: usize,
-    meter: BerMeter,
-    evm_sum_db: f64,
-    decoded: usize,
     /// Sum of chunk service times, reported as [`LinkReport::elapsed`].
     service_ns: u64,
 }
@@ -377,14 +373,10 @@ impl SessionEngine {
             sim,
             rng: Rng::new(seed),
             fe,
-            batch: BatchScratch::default(),
             rx: Receiver::with_profile(profile),
-            next_packet: 0,
+            report: ShardReport::default(),
             fed,
             max_packets,
-            meter: BerMeter::new(),
-            evm_sum_db: 0.0,
-            decoded: 0,
             service_ns: 0,
         };
         let col = self.collector.get_mut().expect("collector lock");
@@ -423,7 +415,7 @@ impl SessionEngine {
             let core = slot.core.get_mut().expect("session lock");
             let ring = slot.ring.get_mut().expect("ring");
             let retired = core.fed == core.max_packets
-                && core.next_packet == core.fed
+                && core.report.packets == core.fed
                 && ring.len == 0
                 && col.pending[sid] == 0;
             retired.then_some(sid)
@@ -482,7 +474,7 @@ impl SessionEngine {
             let run_q = self.sched.run_q.get_mut().expect("run queue");
             for (sid, slot) in self.slots.iter_mut().enumerate() {
                 let core = slot.core.get_mut().expect("session lock");
-                let remaining = core.fed - core.next_packet;
+                let remaining = core.fed - core.report.packets;
                 col.pending[sid] = remaining.div_ceil(self.cfg.chunk_packets);
                 if remaining > 0 {
                     run_q.push_back(sid as u32);
@@ -531,17 +523,7 @@ impl SessionEngine {
     /// time; every other field is bit-identical).
     pub fn report(&self, session: SessionId) -> LinkReport {
         let core = self.slots[session].core.lock().expect("session lock");
-        LinkReport {
-            packets: core.next_packet,
-            decoded_packets: core.decoded,
-            meter: core.meter,
-            evm_db: if core.decoded > 0 {
-                Some(core.evm_sum_db / core.decoded as f64)
-            } else {
-                None
-            },
-            elapsed: Duration::from_nanos(core.service_ns),
-        }
+        LinkReport::from_shard(core.report.clone(), Duration::from_nanos(core.service_ns))
     }
 
     /// The link configuration a session was admitted with.
@@ -656,7 +638,7 @@ impl SessionEngine {
         let (mut stat, more) = {
             let mut core = slot.core.lock().expect("session lock");
             let stat = Self::process_chunk(&mut core, self.cfg.chunk_packets);
-            (stat, core.next_packet < core.fed)
+            (stat, core.report.packets < core.fed)
         };
         stat.service_ns = t0.elapsed().as_nanos() as u64;
         {
@@ -669,49 +651,32 @@ impl SessionEngine {
         more
     }
 
-    /// The chunk kernel: exactly one iteration of
-    /// [`LinkSimulation::run_batched`]'s batch loop, with the RNG,
-    /// front-end filters and report accumulators carried in the
-    /// session core — which is what makes any chunking of a session
-    /// bit-identical to the serial run.
+    /// The chunk kernel: the next `chunk_packets` (or fewer, at the end
+    /// of the fed traffic) iterations of [`LinkSimulation::run`]'s
+    /// packet loop, with the RNG, front-end filters and report carried
+    /// in the session core — which is what makes any chunking of a
+    /// session bit-identical to the serial run.
     fn process_chunk(core: &mut SessionCore, chunk_packets: usize) -> ChunkStat {
         let SessionCore {
             sim,
             rng,
             fe,
-            batch,
             rx,
-            next_packet,
+            report,
             fed,
-            meter,
-            evm_sum_db,
-            decoded,
             ..
         } = core;
-        let n = chunk_packets.min(*fed - *next_packet);
+        let first = report.packets;
+        let n = chunk_packets.min(*fed - first);
         debug_assert!(n > 0, "scheduled a session with no pending traffic");
-        sim.run_batch(*next_packet, n, rng, fe, batch);
-        let psdu_len = sim.config().psdu_len;
-        let mut start = 0;
-        let mut chunk_decoded = 0u32;
-        for (i, &len) in batch.out_segments.iter().enumerate() {
-            let seg = &batch.out_plane[start..start + len];
-            let sent = &batch.psdus[i * psdu_len..(i + 1) * psdu_len];
-            match rx.receive_into(seg, &mut fe.scratch.rx) {
-                Ok(sum) if fe.scratch.rx.psdu.len() == sent.len() => {
-                    meter.update_bytes(sent, &fe.scratch.rx.psdu);
-                    *evm_sum_db += sum.evm_db();
-                    *decoded += 1;
-                    chunk_decoded += 1;
-                }
-                _ => meter.update_lost_packet(8 * psdu_len),
-            }
-            start += len;
+        let decoded_before = report.decoded_packets;
+        for pkt in first..first + n {
+            let outcome = sim.sim_packet(pkt, rng, fe, rx);
+            report.record(outcome, fe);
         }
-        *next_packet += n;
         ChunkStat {
             packets: n as u32,
-            decoded: chunk_decoded,
+            decoded: (report.decoded_packets - decoded_before) as u32,
             service_ns: 0,
         }
     }

@@ -68,12 +68,6 @@ pub struct ViterbiDecoder {
     decisions: Vec<u64>,
     /// Scratch LLRs for [`ViterbiDecoder::decode_hard_into`].
     hard_llrs: Vec<Llr>,
-    /// Lane-major path metrics (`[state][lane]`) for
-    /// [`ViterbiDecoder::decode_soft_batch`].
-    batch_metric: Vec<f64>,
-    batch_next: Vec<f64>,
-    /// Lane-major decision bitmasks (`[step][lane]`).
-    batch_decisions: Vec<u64>,
 }
 
 impl Default for ViterbiDecoder {
@@ -99,9 +93,6 @@ impl ViterbiDecoder {
             signs,
             decisions: Vec::new(),
             hard_llrs: Vec::new(),
-            batch_metric: Vec::new(),
-            batch_next: Vec::new(),
-            batch_decisions: Vec::new(),
         }
     }
 
@@ -110,15 +101,6 @@ impl ViterbiDecoder {
     pub fn reserve_steps(&mut self, n_steps: usize) {
         self.decisions.reserve(n_steps);
         self.hard_llrs.reserve(2 * n_steps);
-    }
-
-    /// Pre-reserves the lane-major buffers so
-    /// [`ViterbiDecoder::decode_soft_batch`] calls up to `n_steps` steps
-    /// over `lanes` lanes perform no heap allocation.
-    pub fn reserve_batch(&mut self, n_steps: usize, lanes: usize) {
-        self.batch_metric.reserve(N_STATES * lanes);
-        self.batch_next.reserve(N_STATES * lanes);
-        self.batch_decisions.reserve(n_steps * lanes);
     }
 
     /// Decodes a tail-terminated message from soft inputs into `bits`
@@ -196,124 +178,6 @@ impl ViterbiDecoder {
             bits[t] = (state & 1) as u8; // the input that created this state
             let evicted = (self.decisions[t] >> state) & 1;
             state = (state >> 1) | ((evicted as usize) << 5);
-        }
-    }
-
-    /// Decodes `lanes` equal-length tail-terminated messages in lockstep
-    /// from a lane-major LLR plane — the add-compare-select inner loop
-    /// runs across lanes for each trellis transition, so it
-    /// autovectorizes over packets instead of walking one trellis at a
-    /// time.
-    ///
-    /// `llr_plane` is step-major with lane-contiguous rows: step `t`
-    /// occupies `llr_plane[t·2·lanes .. (t+1)·2·lanes]`, the first
-    /// `lanes` values holding every lane's output-A LLR and the next
-    /// `lanes` holding output B. `bits` is refilled with each lane's
-    /// decoded bits back to back (lane `l` occupies
-    /// `bits[l·n_steps .. (l+1)·n_steps]`).
-    ///
-    /// Each lane performs exactly the adds and strict-`<` compares of
-    /// [`ViterbiDecoder::decode_soft_into`] on its own values, so every
-    /// decoded bit is identical to decoding that lane alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or `llr_plane.len()` is not a multiple
-    /// of `2 * lanes`.
-    pub fn decode_soft_batch(&mut self, llr_plane: &[Llr], lanes: usize, bits: &mut Vec<u8>) {
-        assert!(lanes > 0, "lanes must be positive");
-        assert!(
-            llr_plane.len().is_multiple_of(2 * lanes),
-            "need two LLRs per trellis step per lane"
-        );
-        let n_steps = llr_plane.len() / (2 * lanes);
-        bits.clear();
-        if n_steps == 0 {
-            return;
-        }
-
-        let metric = &mut self.batch_metric;
-        let next = &mut self.batch_next;
-        metric.clear();
-        metric.resize(N_STATES * lanes, INF);
-        next.clear();
-        next.resize(N_STATES * lanes, INF);
-        metric[..lanes].fill(0.0);
-        self.batch_decisions.clear();
-        self.batch_decisions.resize(n_steps * lanes, 0);
-
-        for (t, step) in llr_plane.chunks_exact(2 * lanes).enumerate() {
-            let (la, lb) = step.split_at(lanes);
-            if t < 6 {
-                // Warm-up: only states 0..2^t are reachable and both
-                // predecessors of a reachable next-state have their
-                // evicted bit 0 (see `decode_soft_into`); the decision
-                // row keeps its zero fill.
-                next.fill(INF);
-                for ns in 0..(1usize << (t + 1)).min(N_STATES) {
-                    let s = &self.signs[ns];
-                    let pred = (ns >> 1) * lanes;
-                    let row = ns * lanes;
-                    for l in 0..lanes {
-                        next[row + l] = (metric[pred + l] + s[0] * la[l]) + s[1] * lb[l];
-                    }
-                }
-            } else {
-                let dec_row = &mut self.batch_decisions[t * lanes..(t + 1) * lanes];
-                for ns in 0..N_STATES {
-                    let s = &self.signs[ns];
-                    // Exact-length lane rows so the compiler drops the
-                    // bounds checks and vectorizes across lanes.
-                    let m1 = &metric[(ns >> 1) * lanes..][..lanes];
-                    let m2 = &metric[((ns >> 1) | 32) * lanes..][..lanes];
-                    let row = &mut next[ns * lanes..][..lanes];
-                    let bit = 1u64 << ns;
-                    for l in 0..lanes {
-                        let c1 = (m1[l] + s[0] * la[l]) + s[1] * lb[l];
-                        let c2 = (m2[l] + s[2] * la[l]) + s[3] * lb[l];
-                        // Strict `<`: ties keep the lower predecessor.
-                        let take2 = c2 < c1;
-                        row[l] = if take2 { c2 } else { c1 };
-                        dec_row[l] |= (take2 as u64) * bit;
-                    }
-                }
-            }
-            std::mem::swap(metric, next);
-            if t % 4096 == 4095 {
-                // Per-lane renormalization, the lane-local image of
-                // `renormalize_if_needed`.
-                for l in 0..lanes {
-                    let mut min = f64::INFINITY;
-                    for st in 0..N_STATES {
-                        min = min.min(metric[st * lanes + l]);
-                    }
-                    if min.abs() > NORM_LIMIT && min.is_finite() {
-                        for st in 0..N_STATES {
-                            metric[st * lanes + l] -= min;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Per-lane traceback from the maximum-likelihood end state
-        // (first state wins ties, as in a forward minimum scan).
-        bits.resize(n_steps * lanes, 0);
-        for l in 0..lanes {
-            let mut state = 0usize;
-            let mut best = metric[l];
-            for (st, row) in metric.chunks_exact(lanes).enumerate().skip(1) {
-                if row[l] < best {
-                    best = row[l];
-                    state = st;
-                }
-            }
-            let lane_bits = &mut bits[l * n_steps..(l + 1) * n_steps];
-            for t in (0..n_steps).rev() {
-                lane_bits[t] = (state & 1) as u8;
-                let evicted = (self.batch_decisions[t * lanes + l] >> state) & 1;
-                state = (state >> 1) | ((evicted as usize) << 5);
-            }
         }
     }
 
@@ -532,70 +396,6 @@ mod tests {
             dec.decode_soft_into(&llrs, &mut bits);
             assert_eq!(bits, decode_soft(&llrs), "len {len}");
         }
-    }
-
-    #[test]
-    fn batch_matches_scalar_bit_exact() {
-        // Lockstep lanes vs decoding each lane alone, over noisy LLRs
-        // (tie-heavy erasures included), lane counts including 1.
-        let mut rng = Rng::new(7);
-        for lanes in [1usize, 2, 5, 8] {
-            for len in [8usize, 40, 333] {
-                let mut lane_llrs = Vec::new();
-                let mut want = Vec::new();
-                for _ in 0..lanes {
-                    let msg = tailed_message(&mut rng, len);
-                    let coded = encode(&msg);
-                    let mut llrs: Vec<Llr> = coded
-                        .iter()
-                        .map(|&b| {
-                            let tx = if b == 1 { -1.0 } else { 1.0 };
-                            tx + 0.8 * rng.gaussian()
-                        })
-                        .collect();
-                    for l in llrs.iter_mut().step_by(17) {
-                        *l = 0.0; // erasures exercise tie-breaking
-                    }
-                    want.extend(decode_soft(&llrs));
-                    lane_llrs.push(llrs);
-                }
-                let n_steps = len;
-                let mut plane = vec![0.0f64; n_steps * 2 * lanes];
-                for (l, llrs) in lane_llrs.iter().enumerate() {
-                    for t in 0..n_steps {
-                        plane[t * 2 * lanes + l] = llrs[2 * t];
-                        plane[t * 2 * lanes + lanes + l] = llrs[2 * t + 1];
-                    }
-                }
-                let mut dec = ViterbiDecoder::new();
-                let mut got = Vec::new();
-                dec.decode_soft_batch(&plane, lanes, &mut got);
-                assert_eq!(got, want, "lanes {lanes} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_empty_and_reuse() {
-        let mut dec = ViterbiDecoder::new();
-        let mut bits = Vec::new();
-        dec.decode_soft_batch(&[], 3, &mut bits);
-        assert!(bits.is_empty());
-        // Reuse after a scalar decode must not leak state.
-        let msg = vec![1u8, 0, 1, 1, 0, 0, 0, 0, 0, 0];
-        let coded = encode(&msg);
-        let llrs: Vec<Llr> = coded
-            .iter()
-            .map(|&b| if b == 1 { -1.0 } else { 1.0 })
-            .collect();
-        dec.decode_soft_into(&llrs, &mut bits);
-        let mut plane = vec![0.0f64; llrs.len()];
-        for t in 0..msg.len() {
-            plane[2 * t] = llrs[2 * t];
-            plane[2 * t + 1] = llrs[2 * t + 1];
-        }
-        dec.decode_soft_batch(&plane, 1, &mut bits);
-        assert_eq!(bits, msg);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Bit-identity gates for the allocation-free hot-path kernels.
+//! Bit-identity gates for the allocation-free hot-path kernels: the
+//! differential test layer.
 //!
 //! The `_into` refactor (reusable Viterbi trellis, specialized 64-point
 //! FFT, scratch-arena RF chain and link loop) is only legal because it
@@ -6,13 +7,43 @@
 //! literals below were measured on the pre-refactor tree; every field
 //! is compared with exact `==` — including the `f64` EVM — so any
 //! reordered floating-point operation, skipped RNG draw, or altered
-//! buffer lifetime in the hot path fails loudly here.
+//! buffer lifetime in the hot path fails loudly here. Each production
+//! kernel is also compared against its reference (the staged RF chain,
+//! the conformance Viterbi trellis, the sample-by-sample co-simulation
+//! loop) with exact `==` on bits and `f64::to_bits` on samples: "close"
+//! is failure here.
 
-use wlan_dsp::Rng;
+use wlan_ams::CosimReceiver;
+use wlan_dsp::{Complex, Rng};
 use wlan_phy::viterbi::{decode_soft, Llr, ViterbiDecoder};
 use wlan_phy::Rate;
-use wlan_rf::receiver::RfConfig;
+use wlan_rf::nonlinearity::Nonlinearity;
+use wlan_rf::receiver::{DoubleConversionReceiver, RfConfig, RfScratch};
 use wlan_sim::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
+
+fn assert_bits_eq(got: &[Complex], want: &[Complex], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+        assert_eq!(
+            g.re.to_bits(),
+            w.re.to_bits(),
+            "{what}: re diverges at sample {i}: {} vs {}",
+            g.re,
+            w.re
+        );
+        assert_eq!(
+            g.im.to_bits(),
+            w.im.to_bits(),
+            "{what}: im diverges at sample {i}: {} vs {}",
+            g.im,
+            w.im
+        );
+    }
+}
+
+fn noise_burst(rng: &mut Rng, n: usize, power: f64) -> Vec<Complex> {
+    (0..n).map(|_| rng.complex_gaussian(power)).collect()
+}
 
 /// Ideal-front-end link at 11.5 dB SNR: enough errors (568 of 11520
 /// bits) that the whole soft-decision path — demap, deinterleave,
@@ -126,5 +157,104 @@ fn decoders_agree_on_pure_noise() {
         dec.decode_soft_into(&llrs, &mut got);
         assert_eq!(got, decode_soft(&llrs));
         assert_eq!(got, wlan_conformance::refimpl::viterbi_reference(&llrs));
+    }
+}
+
+/// The 1- and 5-bit messages sit inside the six-step trellis warm-up,
+/// where only part of the state space is reachable: the production
+/// decoder's warm-up shortcut must still match the reference trellis.
+#[test]
+fn decoder_matches_reference_at_warm_up_edges() {
+    let mut rng = Rng::new(0xdec0de);
+    let mut dec = ViterbiDecoder::new();
+    let mut got = Vec::new();
+    for message_bits in [1usize, 5] {
+        for trial in 0..5 {
+            let llrs = noisy_llrs(message_bits, 0.7, &mut rng);
+            dec.decode_soft_into(&llrs, &mut got);
+            let reference = wlan_conformance::refimpl::viterbi_reference(&llrs);
+            assert_eq!(got, reference, "{message_bits} bits, trial {trial}");
+        }
+    }
+}
+
+/// RF chain: the in-place production chain `process_into` equals the
+/// staged reference walk `process_staged` over several front-end
+/// configs, frame by frame across ragged consecutive frames (including
+/// a 4-sample tail shorter than the OSR), so the state carried between
+/// frames — filters, noise streams, decimator phase, DC correction —
+/// is covered too.
+#[test]
+fn rf_chain_matches_staged_reference_across_frames() {
+    let configs = vec![
+        ("default", RfConfig::default()),
+        (
+            "noiseless",
+            RfConfig {
+                noise_enabled: false,
+                ..RfConfig::default()
+            },
+        ),
+        (
+            "narrow-filter-rapp-lna",
+            RfConfig {
+                channel_filter_edge_hz: wlan_units::Hz(6e6),
+                lna_nonlinearity: Nonlinearity::rapp(wlan_units::Dbm(-25.0)),
+                ..RfConfig::default()
+            },
+        ),
+    ];
+    let mut rng = Rng::new(0x5eed);
+    for (name, cfg) in &configs {
+        let mut fused = DoubleConversionReceiver::new(*cfg, 0xabc);
+        let mut staged = DoubleConversionReceiver::new(*cfg, 0xabc);
+        let mut scratch = RfScratch::default();
+        let mut got = Vec::new();
+        for (frame, len) in [2000usize, 640, 1333, 4].into_iter().enumerate() {
+            let x = noise_burst(&mut rng, len, 1e-7);
+            fused.process_into(&x, &mut scratch, &mut got);
+            let want = staged.process_staged(&x);
+            assert_bits_eq(&got, &want, &format!("{name} frame {frame}"));
+        }
+    }
+}
+
+/// Mixed-signal co-simulation: the chunked device-major block path
+/// equals the sample-by-sample loop bit for bit across device configs
+/// (default netlist, narrowed filter edge, analog osr down to 1) and an
+/// input length that straddles chunk boundaries.
+#[test]
+fn cosim_block_path_matches_sample_by_sample() {
+    let mut rng = Rng::new(0xc0);
+    // 2500 samples: spans two 1024-sample chunks plus a ragged tail.
+    let x = noise_burst(&mut rng, 2500, 1e-6);
+    type Builder = Box<dyn Fn() -> CosimReceiver>;
+    let builders: Vec<(&str, Builder)> = vec![
+        (
+            "default osr=2",
+            Box::new(|| CosimReceiver::new(80e6, 2, 4).unwrap()),
+        ),
+        (
+            "default osr=1",
+            Box::new(|| CosimReceiver::new(80e6, 1, 4).unwrap()),
+        ),
+        (
+            "narrow filter osr=3",
+            Box::new(|| CosimReceiver::with_filter_edge(6e6, 80e6, 3, 4).unwrap()),
+        ),
+    ];
+    for (name, build) in &builders {
+        let mut block = build();
+        let mut serial = build();
+        let mut got = Vec::new();
+        let mut want = Vec::new();
+        // Two passes so carried state (decimation phase, DC blocker,
+        // device internals) stays aligned across calls too.
+        for pass in 0..2 {
+            block.process_into(&x, &mut got);
+            serial.process_into_sample_by_sample(&x, &mut want);
+            assert_bits_eq(&got, &want, &format!("{name} pass {pass}"));
+            assert_eq!(block.steps_taken(), serial.steps_taken(), "{name} steps");
+        }
     }
 }
