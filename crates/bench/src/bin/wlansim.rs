@@ -17,8 +17,8 @@
 //! * `--seed S` — master seed (default 42)
 //! * `--threads T` — engine worker count (default `WLANSIM_THREADS`
 //!   or available parallelism)
-//! * `--serial` — the legacy serial estimator (the bit-reproducible
-//!   reference path the pinned goldens use; implies one worker)
+//! * `--serial` — the reference estimator, `Engine::reference()` (the
+//!   bit-reproducible path the pinned goldens use; one worker)
 //! * `--profile P` — OFDM numerology for the profile-aware
 //!   experiments (`ber_snr`, `ip3`, `blocking`); `wlansim list` names
 //!   the choices (default `ieee-802-11a`)
@@ -131,8 +131,7 @@ fn context(f: &Flags) -> Result<RunContext, String> {
         ctx.engine.pool = ThreadPool::new(t);
     }
     if f.serial {
-        ctx.serial = true;
-        ctx.engine = wlan_sim::experiments::Engine::serial();
+        ctx.engine = wlan_sim::experiments::Engine::reference();
     }
     Ok(ctx)
 }
@@ -149,7 +148,11 @@ fn run_one(exp: &dyn Experiment, ctx: &mut RunContext) {
         ctx.profile.name,
         ctx.seed,
         ctx.engine.pool.threads(),
-        if ctx.serial { ", serial estimator" } else { "" }
+        if ctx.engine.mc.is_none() {
+            ", serial estimator"
+        } else {
+            ""
+        }
     );
     let out = execute(exp, ctx);
     for (i, t) in out.tables.iter().enumerate() {

@@ -167,17 +167,6 @@ pub fn report_point_timing(group: &str, points: &[(String, Duration)]) {
     println!("{line:<42} {:>14}", si_time(total.as_secs_f64()));
 }
 
-/// [`report_point_timing`] from a sweep result's parallel vectors: any
-/// displayable parameter value next to its elapsed time.
-pub fn report_sweep_timing<P: std::fmt::Display>(group: &str, params: &[P], elapsed: &[Duration]) {
-    let points: Vec<(String, Duration)> = params
-        .iter()
-        .zip(elapsed.iter())
-        .map(|(p, e)| (format!("{p}"), *e))
-        .collect();
-    report_point_timing(group, &points);
-}
-
 fn si(value: f64, unit: &str) -> String {
     let (scaled, prefix) = if value >= 1e9 {
         (value / 1e9, "G")
@@ -235,7 +224,6 @@ mod tests {
                 ("0".to_string(), Duration::from_millis(5)),
             ],
         );
-        report_sweep_timing("selftest", &[-40.0, 0.0], &[Duration::ZERO, Duration::ZERO]);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! |---|---|
 //! | `wlansim` | the registry-driven experiment runner: `wlansim list`, `wlansim run <name>`, `wlansim all`, `wlansim check-manifest` |
 //! | `kernel_bench` | hot-kernel timings → `BENCH_kernels.json` |
-//! | `sweep_bench` | serial-vs-parallel sweep wall-clock → `BENCH_sweep.json` |
 //!
 //! Every experiment of the paper is registered in
 //! `wlan_sim::experiments::registry()` and runnable by name; each

@@ -152,6 +152,7 @@ pub fn all() -> Vec<PinnedGolden> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlan_sim::experiments::Engine;
 
     #[test]
     fn snapshots_are_reproducible() {
@@ -182,8 +183,16 @@ mod tests {
         // The trait impl must delegate to the exact legacy estimator:
         // same function, same arguments, same seed.
         let via_trait = ip3_sweep().fields;
-        let legacy =
-            ip3::run(Effort::quick(), -40.0, 0.0, 4, 7, &wlan_phy::IEEE_802_11A).snapshot();
+        let legacy = ip3::run(
+            Effort::quick(),
+            -40.0,
+            0.0,
+            4,
+            7,
+            &wlan_phy::IEEE_802_11A,
+            &Engine::reference(),
+        )
+        .snapshot();
         assert_eq!(via_trait, legacy);
     }
 }

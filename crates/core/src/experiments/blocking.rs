@@ -4,7 +4,7 @@
 //! adjacent and the +40 MHz alternate channel.
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::{OfdmProfile, Rate};
@@ -132,28 +132,16 @@ impl Experiment for BlockingSweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.rate,
-                self.lo_db.0,
-                self.hi_db.0,
-                self.points,
-                ctx.seed,
-                ctx.profile,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.lo_db.0,
-                self.hi_db.0,
-                self.points,
-                ctx.seed,
-                ctx.profile,
-                &ctx.engine,
-            )
-        };
+        let r = run(
+            ctx.effort,
+            self.rate,
+            self.lo_db.0,
+            self.hi_db.0,
+            self.points,
+            ctx.seed,
+            ctx.profile,
+            &ctx.engine,
+        );
         let mut out = RunOutput {
             tables: vec![r.table()],
             snapshot: r.snapshot(),
@@ -200,19 +188,6 @@ fn point_config(
     }
 }
 
-fn ber_with(
-    offset_hz: f64,
-    rel_db: f64,
-    rate: Rate,
-    effort: Effort,
-    seed: u64,
-    profile: &'static OfdmProfile,
-) -> (f64, u64) {
-    let report =
-        LinkSimulation::new(point_config(offset_hz, rel_db, rate, effort, seed, profile)).run();
-    (report.ber(), report.meter.bits())
-}
-
 fn collect(
     rate: Rate,
     rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>,
@@ -235,37 +210,11 @@ fn collect(
 /// Runs the rejection sweep at −60 dBm wanted level. The interferer
 /// sits one (adjacent) and two (alternate) channel spacings up, where
 /// one spacing is the profile's sampling bandwidth — 20 MHz for
-/// 802.11a, scaled accordingly for the other numerologies.
-pub fn run(
-    effort: Effort,
-    rate: Rate,
-    lo_db: f64,
-    hi_db: f64,
-    points: usize,
-    seed: u64,
-    profile: &'static OfdmProfile,
-) -> BlockingResult {
-    let spacing = profile.sample_rate;
-    let sweep = Sweep::linspace(lo_db, hi_db, points.max(2));
-    let rows = sweep.run(|&rel| {
-        let (adj, bits) = ber_with(spacing, rel, rate, effort, seed, profile);
-        let (alt, _) = ber_with(
-            2.0 * spacing,
-            rel,
-            rate,
-            effort,
-            seed.wrapping_add(7),
-            profile,
-        );
-        (adj, alt, bits)
-    });
-    collect(rate, rows)
-}
-
-/// [`run`] on the parallel engine: each relative-level point (both the
-/// adjacent and alternate series) is one pool task.
+/// 802.11a, scaled accordingly for the other numerologies. Each
+/// relative-level point (both the adjacent and alternate series) is
+/// one task on the engine's pool.
 #[allow(clippy::too_many_arguments)]
-pub fn run_parallel(
+pub fn run(
     effort: Effort,
     rate: Rate,
     lo_db: f64,
@@ -305,7 +254,16 @@ mod tests {
         // The alternate channel is a whole channel further out, so the
         // Chebyshev filter rejects it far more: the paper's spec allows
         // it 16 dB hotter (+32 vs +16).
-        let r = run(Effort::quick(), Rate::R12, 8.0, 40.0, 5, 5, &IEEE_802_11A);
+        let r = run(
+            Effort::quick(),
+            Rate::R12,
+            8.0,
+            40.0,
+            5,
+            5,
+            &IEEE_802_11A,
+            &Engine::reference(),
+        );
         let adj_tol = r.rejection_db(false, 0.01).unwrap_or(f64::MIN);
         let alt_tol = r.rejection_db(true, 0.01).unwrap_or(f64::MIN);
         assert!(
@@ -322,13 +280,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), Rate::R12, 10.0, 20.0, 2, 6, &IEEE_802_11A);
-        assert!(r.table().render().contains("interferer"));
-    }
-
-    #[test]
-    fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(
+        let r = run(
             Effort::quick(),
             Rate::R12,
             10.0,
@@ -336,9 +288,24 @@ mod tests {
             2,
             6,
             &IEEE_802_11A,
-            &Engine::serial(),
+            &Engine::reference(),
         );
-        let par = run_parallel(
+        assert!(r.table().render().contains("interferer"));
+    }
+
+    #[test]
+    fn parallel_sweep_is_thread_invariant() {
+        let serial = run(
+            Effort::quick(),
+            Rate::R12,
+            10.0,
+            20.0,
+            2,
+            6,
+            &IEEE_802_11A,
+            &Engine::with_threads(1),
+        );
+        let par = run(
             Effort::quick(),
             Rate::R12,
             10.0,

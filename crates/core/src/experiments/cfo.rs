@@ -36,6 +36,21 @@ pub struct CfoResult {
 }
 
 impl CfoResult {
+    /// Flattens the sweep into named scalar fields for the golden-file
+    /// harness (`wlan-conformance`).
+    pub fn snapshot(&self) -> Vec<(String, f64)> {
+        let mut out = vec![
+            ("n_points".to_string(), self.points.len() as f64),
+            ("rate_mbps".to_string(), self.rate.mbps() as f64),
+        ];
+        for (i, p) in self.points.iter().enumerate() {
+            out.push((format!("points[{i:02}].cfo_khz"), p.cfo_hz / 1e3));
+            out.push((format!("points[{i:02}].ber"), p.ber));
+            out.push((format!("points[{i:02}].bits"), p.bits as f64));
+        }
+        out
+    }
+
     /// Renders the sweep.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
@@ -106,30 +121,17 @@ impl Experiment for CfoSweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(ctx.effort, self.rate, self.max_hz.0, self.points, ctx.seed)
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.max_hz.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut snapshot = vec![
-            ("n_points".to_string(), r.points.len() as f64),
-            ("rate_mbps".to_string(), r.rate.mbps() as f64),
-        ];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].cfo_khz"), p.cfo_hz / 1e3));
-            snapshot.push((format!("points[{i:02}].ber"), p.ber));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
+        let r = run(
+            ctx.effort,
+            self.rate,
+            self.max_hz.0,
+            self.points,
+            ctx.seed,
+            &ctx.engine,
+        );
         let mut out = RunOutput {
             tables: vec![r.table()],
-            snapshot,
+            snapshot: r.snapshot(),
             points: r
                 .points
                 .iter()
@@ -153,7 +155,7 @@ impl Experiment for CfoSweep {
 
 /// Measures one offset: the point computation is a pure function of
 /// `(effort, rate, cfo, seed)` — every RNG stream is seeded inside —
-/// so both the serial and the parallel sweep share it unchanged.
+/// so the result does not depend on the engine it runs on.
 fn measure_point(
     effort: Effort,
     rate: Rate,
@@ -198,18 +200,10 @@ fn measure_point(
     )
 }
 
-/// Runs the sweep at 20 dB SNR with offsets from 0 to `max_hz`.
-pub fn run(effort: Effort, rate: Rate, max_hz: f64, points: usize, seed: u64) -> CfoResult {
-    let rx = Receiver::new();
-    let sweep = Sweep::linspace(0.0, max_hz, points.max(2));
-    let rows = sweep.run(|&cfo| measure_point(effort, rate, &rx, cfo, seed));
-    collect(rate, rows)
-}
-
-/// [`run`] with the offsets fanned out across the engine's pool. Each
-/// point seeds its own RNG streams, so the result is bit-identical to
-/// [`run`] for any thread count.
-pub fn run_parallel(
+/// Runs the sweep at 20 dB SNR with offsets from 0 to `max_hz`, fanned
+/// out across the engine's pool. Each point seeds its own RNG streams,
+/// so the result is bit-identical for any engine and thread count.
+pub fn run(
     effort: Effort,
     rate: Rate,
     max_hz: f64,
@@ -253,7 +247,7 @@ mod tests {
             packets: 3,
             psdu_len: 60,
         };
-        let r = run(effort, Rate::R12, 900e3, 4, 21);
+        let r = run(effort, Rate::R12, 900e3, 4, 21, &Engine::reference());
         // 0 and 300 kHz: clean. 900 kHz: beyond the ±625 kHz estimator
         // range → fails.
         assert_eq!(r.points[0].ber, 0.0, "zero offset");
@@ -273,7 +267,7 @@ mod tests {
             packets: 2,
             psdu_len: 60,
         };
-        let r = run(effort, Rate::R24, 200e3, 2, 22);
+        let r = run(effort, Rate::R24, 200e3, 2, 22, &Engine::reference());
         for p in &r.points {
             assert!(
                 p.est_err_hz < 5e3,
@@ -291,9 +285,9 @@ mod tests {
             packets: 2,
             psdu_len: 60,
         };
-        let serial = run(effort, Rate::R12, 400e3, 3, 23);
+        let serial = run(effort, Rate::R12, 400e3, 3, 23, &Engine::reference());
         for threads in [1, 2, 4] {
-            let par = run_parallel(
+            let par = run(
                 effort,
                 Rate::R12,
                 400e3,

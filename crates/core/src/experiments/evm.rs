@@ -5,9 +5,8 @@
 //! isolates the channel/impairment, and sweep the SNR; theory predicts
 //! `EVM(dB) ≈ −SNR(dB)`.
 
-use crate::experiments::{Engine, Experiment, PointStat, RunContext, RunOutput};
+use crate::experiments::{Experiment, PointStat, RunContext, RunOutput};
 use crate::report::Table;
-use wlan_dataflow::sweep::Sweep;
 use wlan_dsp::{Complex, Rng};
 use wlan_meas::evm::evm_from_snr_db;
 use wlan_phy::{Rate, Receiver, Transmitter};
@@ -74,8 +73,9 @@ impl EvmResult {
 
 /// Registry entry: EVM vs SNR at one or more rates (genie-timed
 /// receiver; §5.2). The EVM measurement is deterministic per seed and
-/// cheap, so it ignores the effort's packet budget and uses its own
-/// PSDU length.
+/// cheap — one packet per SNR point, on one RNG stream threaded across
+/// the points — so it ignores the effort's packet budget and the
+/// engine, and uses its own PSDU length.
 #[derive(Debug, Clone, Copy)]
 pub struct EvmSweep {
     /// Rates to measure.
@@ -118,11 +118,7 @@ impl Experiment for EvmSweep {
         let mut out = RunOutput::default();
         let multi = self.rates.len() > 1;
         for &rate in self.rates {
-            let r = if ctx.serial {
-                run(rate, self.snrs_db, self.psdu_len, ctx.seed)
-            } else {
-                run_parallel(rate, self.snrs_db, self.psdu_len, ctx.seed, &ctx.engine)
-            };
+            let r = run(rate, self.snrs_db, self.psdu_len, ctx.seed);
             // Single-rate instances keep the legacy plain snapshot keys
             // (the pinned goldens depend on them); multi-rate runs
             // prefix each key with the rate so keys stay unique.
@@ -145,9 +141,9 @@ impl Experiment for EvmSweep {
     }
 }
 
-/// Measures one SNR point with the RNG stream handed in: the serial
-/// sweep threads a single stream across all points (the pinned-golden
-/// ordering), the parallel sweep derives one stream per point.
+/// Measures one SNR point with the RNG stream handed in; the sweep
+/// threads a single stream across all points (the pinned-golden
+/// ordering).
 fn measure_point(rate: Rate, rx: &Receiver, snr: f64, psdu_len: usize, rng: &mut Rng) -> EvmPoint {
     let mut psdu = vec![0u8; psdu_len];
     rng.bytes(&mut psdu);
@@ -186,32 +182,10 @@ pub fn run(rate: Rate, snrs_db: &[f64], psdu_len: usize, seed: u64) -> EvmResult
     EvmResult { rate, points }
 }
 
-/// [`run`] with the SNR points fanned out across the engine's pool.
-/// Each point derives its own RNG stream from `(seed, point_index)`,
-/// so the result is bit-identical for any thread count (it differs
-/// from the serial [`run`], which threads one stream across points).
-pub fn run_parallel(
-    rate: Rate,
-    snrs_db: &[f64],
-    psdu_len: usize,
-    seed: u64,
-    engine: &Engine,
-) -> EvmResult {
-    let rx = Receiver::new();
-    let sweep = Sweep::over(snrs_db.to_vec());
-    let rows = sweep.run_parallel_indexed(&engine.pool, |i, &snr| {
-        let mut rng = Rng::new(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        measure_point(rate, &rx, snr, psdu_len, &mut rng)
-    });
-    EvmResult {
-        rate,
-        points: rows.into_iter().map(|p| p.result).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{execute, Effort, Engine};
 
     #[test]
     fn evm_tracks_snr_theory() {
@@ -239,15 +213,22 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let snrs = &[15.0, 30.0];
-        let serial = run_parallel(Rate::R12, snrs, 80, 5, &Engine::serial());
-        for threads in [2, 4] {
-            let par = run_parallel(Rate::R12, snrs, 80, 5, &Engine::with_threads(threads));
-            assert_eq!(serial.points, par.points, "{threads} threads");
-        }
-        // The parallel estimator is still a valid EVM measurement.
-        for p in &serial.points {
-            assert!((p.evm_db - p.theory_db).abs() < 2.5, "{p:?}");
+        // The registry path runs the one-stream sweep whatever engine
+        // the context carries.
+        const EXP: EvmSweep = EvmSweep {
+            rates: &[Rate::R12],
+            snrs_db: &[15.0, 30.0],
+            psdu_len: 80,
+        };
+        let want = run(Rate::R12, EXP.snrs_db, 80, 5).snapshot();
+        for engine in [
+            Engine::reference(),
+            Engine::with_threads(2),
+            Engine::with_threads(4),
+        ] {
+            let mut ctx = RunContext::serial_reference(Effort::quick(), 5);
+            ctx.engine = engine;
+            assert_eq!(execute(&EXP, &mut ctx).snapshot, want);
         }
     }
 }

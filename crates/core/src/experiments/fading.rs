@@ -7,7 +7,7 @@
 //! guard interval, then collapses from inter-symbol interference.
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
@@ -37,6 +37,23 @@ pub struct FadingResult {
 }
 
 impl FadingResult {
+    /// Flattens the sweep into named scalar fields for the golden-file
+    /// harness (`wlan-conformance`).
+    pub fn snapshot(&self) -> Vec<(String, f64)> {
+        let mut out = vec![
+            ("n_points".to_string(), self.points.len() as f64),
+            ("rate_mbps".to_string(), self.rate.mbps() as f64),
+            ("snr_db".to_string(), self.snr_db),
+        ];
+        for (i, p) in self.points.iter().enumerate() {
+            out.push((format!("points[{i:02}].trms_ns"), p.trms_s * 1e9));
+            out.push((format!("points[{i:02}].ber"), p.ber));
+            out.push((format!("points[{i:02}].per"), p.per));
+            out.push((format!("points[{i:02}].bits"), p.bits as f64));
+        }
+        out
+    }
+
     /// Renders the sweep.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
@@ -98,38 +115,17 @@ impl Experiment for FadingSweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.rate,
-                self.snr_db.0,
-                self.trms_list,
-                ctx.seed,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.snr_db.0,
-                self.trms_list,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut snapshot = vec![
-            ("n_points".to_string(), r.points.len() as f64),
-            ("rate_mbps".to_string(), r.rate.mbps() as f64),
-            ("snr_db".to_string(), r.snr_db),
-        ];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].trms_ns"), p.trms_s * 1e9));
-            snapshot.push((format!("points[{i:02}].ber"), p.ber));
-            snapshot.push((format!("points[{i:02}].per"), p.per));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
+        let r = run(
+            ctx.effort,
+            self.rate,
+            self.snr_db.0,
+            self.trms_list,
+            ctx.seed,
+            &ctx.engine,
+        );
         RunOutput {
             tables: vec![r.table()],
-            snapshot,
+            snapshot: r.snapshot(),
             points: r
                 .points
                 .iter()
@@ -158,20 +154,10 @@ fn point_config(effort: Effort, rate: Rate, snr_db: f64, trms: f64, seed: u64) -
     }
 }
 
-/// Runs the sweep across delay spreads (seconds).
-pub fn run(effort: Effort, rate: Rate, snr_db: f64, trms_list: &[f64], seed: u64) -> FadingResult {
-    let sweep = Sweep::over(trms_list.to_vec());
-    let rows = sweep.run(|&trms| {
-        let report = LinkSimulation::new(point_config(effort, rate, snr_db, trms, seed)).run();
-        (report.ber(), report.per(), report.meter.bits())
-    });
-    collect(rate, snr_db, rows)
-}
-
-/// [`run`] on the parallel engine: delay-spread points fan out across
-/// the engine's pool, each as a deterministic sharded schedule.
-/// Bit-identical for any thread count.
-pub fn run_parallel(
+/// Runs the sweep across delay spreads (seconds). The points fan out
+/// across the engine's pool, each measured with the engine's
+/// estimator; bit-identical for any thread count.
+pub fn run(
     effort: Effort,
     rate: Rate,
     snr_db: f64,
@@ -220,7 +206,14 @@ mod tests {
             packets: 8,
             psdu_len: 60,
         };
-        let r = run(effort, Rate::R12, 30.0, &[50e-9, 1e-6], 11);
+        let r = run(
+            effort,
+            Rate::R12,
+            30.0,
+            &[50e-9, 1e-6],
+            11,
+            &Engine::reference(),
+        );
         let short = r.points[0].ber;
         let long = r.points[1].ber;
         assert!(long > short + 0.02, "no ISI collapse: {short} vs {long}");
@@ -229,7 +222,14 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), Rate::R6, 25.0, &[100e-9], 12);
+        let r = run(
+            Effort::quick(),
+            Rate::R6,
+            25.0,
+            &[100e-9],
+            12,
+            &Engine::reference(),
+        );
         assert!(r.table().render().contains("delay spread"));
     }
 
@@ -240,9 +240,9 @@ mod tests {
             psdu_len: 60,
         };
         let trms = &[50e-9, 400e-9];
-        let serial = run_parallel(effort, Rate::R12, 30.0, trms, 13, &Engine::serial());
+        let serial = run(effort, Rate::R12, 30.0, trms, 13, &Engine::with_threads(1));
         for threads in [2, 4] {
-            let par = run_parallel(
+            let par = run(
                 effort,
                 Rate::R12,
                 30.0,

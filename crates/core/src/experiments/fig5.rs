@@ -6,7 +6,7 @@
 //! adjacent channel through.
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
@@ -31,6 +31,18 @@ pub struct Fig5Result {
 }
 
 impl Fig5Result {
+    /// Flattens the sweep into named scalar fields for the golden-file
+    /// harness (`wlan-conformance`).
+    pub fn snapshot(&self) -> Vec<(String, f64)> {
+        let mut out = vec![("n_points".to_string(), self.points.len() as f64)];
+        for (i, p) in self.points.iter().enumerate() {
+            out.push((format!("points[{i:02}].edge_mhz"), p.edge_hz / 1e6));
+            out.push((format!("points[{i:02}].ber"), p.ber));
+            out.push((format!("points[{i:02}].bits"), p.bits as f64));
+        }
+        out
+    }
+
     /// Renders with the paper's x-axis ("passband edge frequency
     /// (1.0e8 Hz)").
     pub fn table(&self) -> Table {
@@ -91,20 +103,10 @@ impl Experiment for Fig5Sweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(ctx.effort, self.points, ctx.seed)
-        } else {
-            run_parallel(ctx.effort, self.points, ctx.seed, &ctx.engine)
-        };
-        let mut snapshot = vec![("n_points".to_string(), r.points.len() as f64)];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].edge_mhz"), p.edge_hz / 1e6));
-            snapshot.push((format!("points[{i:02}].ber"), p.ber));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
+        let r = run(ctx.effort, self.points, ctx.seed, &ctx.engine);
         RunOutput {
             tables: vec![r.table()],
-            snapshot,
+            snapshot: r.snapshot(),
             points: r
                 .points
                 .iter()
@@ -151,20 +153,10 @@ fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, u64)>>) -> Fig5
 }
 
 /// Runs the sweep: 24 Mbit/s link at −55 dBm with the +16 dB adjacent
-/// channel, Chebyshev edge from 3 to 16 MHz.
-pub fn run(effort: Effort, points: usize, seed: u64) -> Fig5Result {
-    let sweep = Sweep::linspace(3e6, 16e6, points.max(2));
-    let rows = sweep.run(|&edge_hz| {
-        let report = LinkSimulation::new(point_config(effort, edge_hz, seed)).run();
-        (report.ber(), report.meter.bits())
-    });
-    collect(rows)
-}
-
-/// [`run`] on the parallel engine: sweep points fan out across the
-/// engine's pool, each point runs its frame budget as a deterministic
-/// sharded schedule. Bit-identical for any thread count.
-pub fn run_parallel(effort: Effort, points: usize, seed: u64, engine: &Engine) -> Fig5Result {
+/// channel, Chebyshev edge from 3 to 16 MHz. Sweep points fan out
+/// across the engine's pool, each measured with the engine's
+/// estimator; bit-identical for any thread count.
+pub fn run(effort: Effort, points: usize, seed: u64, engine: &Engine) -> Fig5Result {
     let sweep = Sweep::linspace(3e6, 16e6, points.max(2));
     let rows = sweep.run_parallel_indexed(&engine.pool, |i, &edge_hz| {
         let report = engine.measure(point_config(effort, edge_hz, seed), i);
@@ -181,7 +173,7 @@ mod tests {
     fn bathtub_shape() {
         // Narrow (3 MHz) and the best mid-band edge must differ sharply;
         // quick effort keeps this CI-friendly.
-        let r = run(Effort::quick(), 5, 3);
+        let r = run(Effort::quick(), 5, 3, &Engine::reference());
         assert_eq!(r.points.len(), 5);
         let narrow = r.points.first().unwrap().ber;
         let wide = r.points.last().unwrap().ber;
@@ -200,7 +192,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), 3, 4);
+        let r = run(Effort::quick(), 3, 4, &Engine::reference());
         let t = r.table();
         assert_eq!(t.len(), 3);
         assert!(t.render().contains("Figure 5"));
@@ -208,9 +200,9 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(Effort::quick(), 3, 8, &Engine::serial());
+        let serial = run(Effort::quick(), 3, 8, &Engine::with_threads(1));
         for threads in [2, 4] {
-            let par = run_parallel(Effort::quick(), 3, 8, &Engine::with_threads(threads));
+            let par = run(Effort::quick(), 3, 8, &Engine::with_threads(threads));
             for (a, b) in serial.points.iter().zip(par.points.iter()) {
                 assert_eq!(a, b, "{threads} threads");
             }

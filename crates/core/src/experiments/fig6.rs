@@ -12,7 +12,7 @@
 //! −1 dB, so +6 dB is already a stress case the filter must handle).
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
@@ -40,6 +40,19 @@ pub struct Fig6Result {
 }
 
 impl Fig6Result {
+    /// Flattens the sweep into named scalar fields for the golden-file
+    /// harness (`wlan-conformance`).
+    pub fn snapshot(&self) -> Vec<(String, f64)> {
+        let mut out = vec![("n_points".to_string(), self.points.len() as f64)];
+        for (i, p) in self.points.iter().enumerate() {
+            out.push((format!("points[{i:02}].p1db_dbm"), p.p1db_dbm));
+            out.push((format!("points[{i:02}].ber_alone"), p.ber_alone));
+            out.push((format!("points[{i:02}].ber_adjacent"), p.ber_adjacent));
+            out.push((format!("points[{i:02}].bits"), p.bits as f64));
+        }
+        out
+    }
+
     /// Renders both series.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
@@ -114,34 +127,17 @@ impl Experiment for Fig6Sweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
-        let mut snapshot = vec![("n_points".to_string(), r.points.len() as f64)];
-        for (i, p) in r.points.iter().enumerate() {
-            snapshot.push((format!("points[{i:02}].p1db_dbm"), p.p1db_dbm));
-            snapshot.push((format!("points[{i:02}].ber_alone"), p.ber_alone));
-            snapshot.push((format!("points[{i:02}].ber_adjacent"), p.ber_adjacent));
-            snapshot.push((format!("points[{i:02}].bits"), p.bits as f64));
-        }
+        let r = run(
+            ctx.effort,
+            self.lo_dbm.0,
+            self.hi_dbm.0,
+            self.points,
+            ctx.seed,
+            &ctx.engine,
+        );
         let mut out = RunOutput {
             tables: vec![r.table()],
-            snapshot,
+            snapshot: r.snapshot(),
             points: r
                 .points
                 .iter()
@@ -183,11 +179,6 @@ fn point_config(p1db: f64, adjacent: bool, effort: Effort, seed: u64) -> LinkCon
     }
 }
 
-fn ber_at(p1db: f64, adjacent: bool, effort: Effort, seed: u64) -> (f64, u64) {
-    let report = LinkSimulation::new(point_config(p1db, adjacent, effort, seed)).run();
-    (report.ber(), report.meter.bits())
-}
-
 fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>) -> Fig6Result {
     Fig6Result {
         points: rows
@@ -203,22 +194,11 @@ fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, f64, u64)>>) ->
 }
 
 /// Runs the sweep: 54 Mbit/s at −40 dBm, LNA P1dB from `lo` to `hi` dBm.
-pub fn run(effort: Effort, lo_dbm: f64, hi_dbm: f64, points: usize, seed: u64) -> Fig6Result {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run(|&p1| {
-        let (alone, bits) = ber_at(p1, false, effort, seed);
-        let (adj, _) = ber_at(p1, true, effort, seed.wrapping_add(1));
-        (alone, adj, bits)
-    });
-    collect(rows)
-}
-
-/// [`run`] on the parallel engine: sweep points fan out across the
-/// engine's pool; both series of a point run inside the same worker,
-/// the no-adjacent series on the master seed and the adjacent series on
-/// `seed + 1`, matching the serial pairing. Bit-identical for any
-/// thread count.
-pub fn run_parallel(
+/// Sweep points fan out across the engine's pool; both series of a
+/// point run inside the same worker, the no-adjacent series on the
+/// master seed and the adjacent series on `seed + 1`. Bit-identical
+/// for any thread count.
+pub fn run(
     effort: Effort,
     lo_dbm: f64,
     hi_dbm: f64,
@@ -241,7 +221,7 @@ mod tests {
 
     #[test]
     fn adjacent_channel_shifts_the_knee_right() {
-        let r = run(Effort::quick(), -50.0, -5.0, 6, 5);
+        let r = run(Effort::quick(), -50.0, -5.0, 6, 5, &Engine::reference());
         // Deep compression breaks both; high P1dB fixes both.
         let first = r.points.first().unwrap();
         let last = r.points.last().unwrap();
@@ -256,16 +236,23 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), -40.0, -10.0, 3, 6);
+        let r = run(Effort::quick(), -40.0, -10.0, 3, 6, &Engine::reference());
         assert_eq!(r.points.len(), 3);
         assert!(r.table().render().contains("Figure 6"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(Effort::quick(), -40.0, -10.0, 3, 6, &Engine::serial());
+        let serial = run(
+            Effort::quick(),
+            -40.0,
+            -10.0,
+            3,
+            6,
+            &Engine::with_threads(1),
+        );
         for threads in [2, 4] {
-            let par = run_parallel(
+            let par = run(
                 Effort::quick(),
                 -40.0,
                 -10.0,

@@ -6,7 +6,7 @@
 //! intermodulation products land in-band.
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{AdjacentChannel, FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{AdjacentChannel, FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::{OfdmProfile, Rate};
@@ -105,26 +105,15 @@ impl Experiment for Ip3Sweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                ctx.profile,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                ctx.profile,
-                &ctx.engine,
-            )
-        };
+        let r = run(
+            ctx.effort,
+            self.lo_dbm.0,
+            self.hi_dbm.0,
+            self.points,
+            ctx.seed,
+            ctx.profile,
+            &ctx.engine,
+        );
         RunOutput {
             tables: vec![r.table()],
             snapshot: r.snapshot(),
@@ -166,24 +155,6 @@ fn point_config(effort: Effort, iip3: f64, seed: u64, profile: &'static OfdmProf
     }
 }
 
-/// Runs the sweep at −40 dBm wanted level (36 Mbit/s) with a +6 dB
-/// adjacent channel, IIP3 from `lo` to `hi` dBm.
-pub fn run(
-    effort: Effort,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-    profile: &'static OfdmProfile,
-) -> Ip3Result {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run(|&iip3| {
-        let report = LinkSimulation::new(point_config(effort, iip3, seed, profile)).run();
-        (report.ber(), report.meter.bits())
-    });
-    collect(rows)
-}
-
 fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, u64)>>) -> Ip3Result {
     Ip3Result {
         point_elapsed: rows.iter().map(|p| p.elapsed).collect(),
@@ -198,11 +169,12 @@ fn collect(rows: Vec<wlan_dataflow::sweep::SweepPoint<f64, (f64, u64)>>) -> Ip3R
     }
 }
 
-/// [`run`] on the parallel engine: sweep points fan out across the
-/// engine's pool, each point runs its frame budget as a deterministic
-/// sharded schedule (optionally early-stopped). Bit-identical for any
+/// Runs the sweep at −40 dBm wanted level (36 Mbit/s) with a +6 dB
+/// adjacent channel, IIP3 from `lo` to `hi` dBm. Sweep points fan out
+/// across the engine's pool, each measured with the engine's estimator
+/// (the sharded one optionally early-stopped). Bit-identical for any
 /// thread count.
-pub fn run_parallel(
+pub fn run(
     effort: Effort,
     lo_dbm: f64,
     hi_dbm: f64,
@@ -226,7 +198,15 @@ mod tests {
 
     #[test]
     fn low_iip3_breaks_link_high_iip3_fixes_it() {
-        let r = run(Effort::quick(), -40.0, 0.0, 4, 7, &IEEE_802_11A);
+        let r = run(
+            Effort::quick(),
+            -40.0,
+            0.0,
+            4,
+            7,
+            &IEEE_802_11A,
+            &Engine::reference(),
+        );
         let worst = r.points.first().unwrap().ber;
         let best = r.points.last().unwrap().ber;
         assert!(worst > 0.05, "low IIP3 should fail: {worst}");
@@ -237,22 +217,30 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), -30.0, -10.0, 2, 8, &IEEE_802_11A);
+        let r = run(
+            Effort::quick(),
+            -30.0,
+            -10.0,
+            2,
+            8,
+            &IEEE_802_11A,
+            &Engine::reference(),
+        );
         assert!(r.table().render().contains("IIP3"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(
+        let serial = run(
             Effort::quick(),
             -30.0,
             -10.0,
             3,
             8,
             &IEEE_802_11A,
-            &Engine::serial(),
+            &Engine::with_threads(1),
         );
-        let par = run_parallel(
+        let par = run(
             Effort::quick(),
             -30.0,
             -10.0,

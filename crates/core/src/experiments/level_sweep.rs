@@ -3,7 +3,7 @@
 //! sensitivity at the bottom and overload behavior at the top.
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
@@ -119,26 +119,15 @@ impl Experiment for LevelSweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(
-                ctx.effort,
-                self.rate,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-            )
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rate,
-                self.lo_dbm.0,
-                self.hi_dbm.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
+        let r = run(
+            ctx.effort,
+            self.rate,
+            self.lo_dbm.0,
+            self.hi_dbm.0,
+            self.points,
+            ctx.seed,
+            &ctx.engine,
+        );
         let mut out = RunOutput {
             tables: vec![r.table()],
             snapshot: r.snapshot(),
@@ -192,26 +181,10 @@ fn collect(
     }
 }
 
-/// Runs the sweep from below sensitivity to above the specified maximum.
+/// Runs the sweep from below sensitivity to above the specified
+/// maximum. Points fan out across the engine's pool, each measured with
+/// the engine's estimator.
 pub fn run(
-    effort: Effort,
-    rate: Rate,
-    lo_dbm: f64,
-    hi_dbm: f64,
-    points: usize,
-    seed: u64,
-) -> LevelSweepResult {
-    let sweep = Sweep::linspace(lo_dbm, hi_dbm, points.max(2));
-    let rows = sweep.run(|&level| {
-        let report = LinkSimulation::new(point_config(effort, rate, level, seed)).run();
-        (report.ber(), report.meter.bits())
-    });
-    collect(rate, rows)
-}
-
-/// [`run`] on the parallel engine: points fan out across the pool with
-/// deterministic per-point seed streams and optional early stopping.
-pub fn run_parallel(
     effort: Effort,
     rate: Rate,
     lo_dbm: f64,
@@ -234,7 +207,15 @@ mod tests {
 
     #[test]
     fn sensitivity_cliff_and_spec_range_clean() {
-        let r = run(Effort::quick(), Rate::R12, -100.0, -25.0, 6, 3);
+        let r = run(
+            Effort::quick(),
+            Rate::R12,
+            -100.0,
+            -25.0,
+            6,
+            3,
+            &Engine::reference(),
+        );
         // Far below sensitivity: broken. Within the range: clean.
         assert!(r.points.first().unwrap().ber > 0.1, "{:?}", r.points[0]);
         assert!(r.points.last().unwrap().ber < 0.01, "{:?}", r.points.last());
@@ -247,22 +228,30 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let r = run(Effort::quick(), Rate::R24, -60.0, -30.0, 2, 4);
+        let r = run(
+            Effort::quick(),
+            Rate::R24,
+            -60.0,
+            -30.0,
+            2,
+            4,
+            &Engine::reference(),
+        );
         assert!(r.table().render().contains("input level"));
     }
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(
+        let serial = run(
             Effort::quick(),
             Rate::R24,
             -60.0,
             -40.0,
             3,
             4,
-            &Engine::serial(),
+            &Engine::with_threads(1),
         );
-        let par = run_parallel(
+        let par = run(
             Effort::quick(),
             Rate::R24,
             -60.0,

@@ -95,38 +95,46 @@ impl Effort {
     }
 }
 
-/// Parallel execution engine for the Monte-Carlo sweep experiments.
+/// Execution engine for the Monte-Carlo sweep experiments: the worker
+/// pool the sweep points fan out over, and the estimator each point
+/// runs.
 ///
 /// Sweep points fan out across [`Engine::pool`] (via
-/// [`wlan_dataflow::sweep::Sweep::run_parallel_indexed`]); within each
-/// point the frame budget runs as a deterministic sharded schedule with
-/// optional Wilson-interval early stopping. Results are bit-identical
-/// for any thread count: every shard's RNG stream is a pure function of
-/// `(master_seed, point_index, shard_index)`.
+/// [`wlan_dataflow::sweep::Sweep::run_parallel_indexed`]). With
+/// `mc: Some(_)` each point runs its frame budget as a deterministic
+/// sharded schedule with optional Wilson-interval early stopping;
+/// every shard's RNG stream is a pure function of
+/// `(master_seed, point_index, shard_index)`, so results are
+/// bit-identical for any thread count. With `mc: None` each point is
+/// one serial [`LinkSimulation::run`] — the reference estimator the
+/// pinned goldens are blessed against. [`Engine::measure`] is the
+/// only place the two estimators are told apart.
 #[derive(Debug, Clone)]
 pub struct Engine {
     /// Worker pool the sweep points are distributed over.
     pub pool: ThreadPool,
     /// Per-point Monte-Carlo schedule template (`point_index` is
-    /// overwritten with the sweep index of each point).
-    pub mc: McRun,
+    /// overwritten with the sweep index of each point); `None` selects
+    /// the serial reference estimator.
+    pub mc: Option<McRun>,
 }
 
 impl Engine {
-    /// A single-worker engine running the full frame budget — the
-    /// serial reference the parallel paths are compared against.
-    pub fn serial() -> Self {
+    /// The bit-reproducible reference engine: one worker, and every
+    /// point a serial [`LinkSimulation::run`].
+    pub fn reference() -> Self {
         Engine {
             pool: ThreadPool::serial(),
-            mc: McRun::default(),
+            mc: None,
         }
     }
 
-    /// An engine with `threads` workers and default schedule.
+    /// An engine with `threads` workers and the default sharded
+    /// schedule.
     pub fn with_threads(threads: usize) -> Self {
         Engine {
             pool: ThreadPool::new(threads),
-            mc: McRun::default(),
+            mc: Some(McRun::default()),
         }
     }
 
@@ -140,26 +148,39 @@ impl Engine {
         };
         Engine {
             pool: ThreadPool::from_env(),
-            mc: McRun {
+            mc: Some(McRun {
                 early_stop,
                 ..McRun::default()
-            },
+            }),
         }
     }
 
-    /// Measures one sweep point: the sharded Monte-Carlo run of `cfg`
-    /// at sweep index `point_index`.
+    /// Measures one sweep point: `cfg` at sweep index `point_index`,
+    /// under the engine's estimator.
     ///
     /// Frames run serially *within* the calling worker — the engine
-    /// parallelizes across sweep points, so nesting stays bounded — but
-    /// the sharded seed schedule makes the outcome identical to a
-    /// frame-parallel run of the same point.
+    /// parallelizes across sweep points, so nesting stays bounded. The
+    /// sharded seed schedule makes the outcome identical to a
+    /// frame-parallel run of the same point; the reference estimator
+    /// ignores `point_index`.
     pub fn measure(&self, cfg: LinkConfig, point_index: usize) -> LinkReport {
-        let mc = McRun {
-            point_index: point_index as u64,
-            ..self.mc
-        };
-        LinkSimulation::new(cfg).run_parallel(&ThreadPool::serial(), &mc)
+        let sim = LinkSimulation::new(cfg);
+        match self.mc {
+            None => sim.run(),
+            Some(mc) => sim.run_parallel(
+                &ThreadPool::serial(),
+                &McRun {
+                    point_index: point_index as u64,
+                    ..mc
+                },
+            ),
+        }
+    }
+
+    /// Whether the engine's Monte-Carlo schedule has early stopping on
+    /// (never for the reference estimator).
+    pub fn early_stop_enabled(&self) -> bool {
+        self.mc.is_some_and(|mc| mc.early_stop.is_some())
     }
 }
 
@@ -170,15 +191,9 @@ impl Default for Engine {
 }
 
 /// Everything a scenario needs to run, rolled into one context: the
-/// Monte-Carlo effort, the master seed, the parallel [`Engine`], the
-/// serial-vs-sharded estimator choice, and the [`TelemetrySink`] the
-/// run manifest is assembled from.
-///
-/// `serial: true` selects the legacy per-experiment serial estimator
-/// (`LinkSimulation::run`) — the path the pinned goldens and the
-/// pre-refactor `run()` functions use — while `serial: false` fans the
-/// sweep points out across the engine's pool with the sharded,
-/// thread-invariant schedule.
+/// Monte-Carlo effort, the master seed, the OFDM profile, the
+/// [`Engine`] (which also carries the estimator choice), and the
+/// [`TelemetrySink`] the run manifest is assembled from.
 #[derive(Debug)]
 pub struct RunContext {
     /// Packets / PSDU length per sweep point.
@@ -189,10 +204,8 @@ pub struct RunContext {
     /// `blocking`) simulate under; the RF-characterization scenarios
     /// pinned to the paper's 20 MHz setup ignore it.
     pub profile: &'static OfdmProfile,
-    /// Parallel execution engine (pool + Monte-Carlo schedule).
+    /// Execution engine (pool + estimator).
     pub engine: Engine,
-    /// Use the legacy serial estimator instead of the sharded schedule.
-    pub serial: bool,
     /// Accumulates one [`ExperimentTelemetry`] record per executed
     /// experiment (see [`execute`]).
     pub telemetry: TelemetrySink,
@@ -205,22 +218,20 @@ impl Default for RunContext {
             seed: 0,
             profile: &IEEE_802_11A,
             engine: Engine::default(),
-            serial: false,
             telemetry: TelemetrySink::default(),
         }
     }
 }
 
 impl RunContext {
-    /// The bit-reproducible reference context: quick or given effort,
-    /// serial estimator, single-worker engine, no early stopping. This
-    /// is what the pinned goldens run under.
+    /// The bit-reproducible reference context: the given effort and
+    /// seed on [`Engine::reference`]. This is what the pinned goldens
+    /// run under.
     pub fn serial_reference(effort: Effort, seed: u64) -> Self {
         RunContext {
             effort,
             seed,
-            engine: Engine::serial(),
-            serial: true,
+            engine: Engine::reference(),
             ..RunContext::default()
         }
     }
@@ -233,7 +244,6 @@ impl RunContext {
             effort: Effort::from_env(),
             seed: 42,
             engine: Engine::from_env(),
-            serial: false,
             ..RunContext::default()
         }
     }
@@ -250,11 +260,6 @@ impl RunContext {
     pub fn with_profile(mut self, profile: &'static OfdmProfile) -> Self {
         self.profile = profile;
         self
-    }
-
-    /// Whether the engine's Monte-Carlo schedule has early stopping on.
-    pub fn early_stop_enabled(&self) -> bool {
-        self.engine.mc.early_stop.is_some()
     }
 }
 
@@ -356,11 +361,16 @@ pub struct ExperimentTelemetry {
     pub profile: &'static str,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads of the engine.
+    /// Worker threads of the engine handed to the experiment.
     pub threads: usize,
-    /// Whether the legacy serial estimator ran.
+    /// Whether the engine handed to the experiment selects the
+    /// reference estimator (`Engine::mc` was `None`). Like `threads`
+    /// and `early_stop`, this describes the engine, not what an
+    /// experiment that ignores the engine ran: evm always runs its
+    /// one-stream serial sweep, and table2 times each mode on one
+    /// worker whatever the pool width.
     pub serial: bool,
-    /// Whether adaptive early stopping was enabled.
+    /// Whether the engine had adaptive early stopping enabled.
     pub early_stop: bool,
     /// Wall-clock time of the whole experiment.
     pub wall: Duration,
@@ -403,7 +413,7 @@ pub fn execute(exp: &dyn Experiment, ctx: &mut RunContext) -> RunOutput {
     let wall = started.elapsed();
     let psdu_bits = 8 * ctx.effort.psdu_len as u64;
     let budget = ctx.effort.packets as u64;
-    let early_stop = ctx.early_stop_enabled();
+    let early_stop = ctx.engine.early_stop_enabled();
     let points = out
         .points
         .iter()
@@ -429,7 +439,7 @@ pub fn execute(exp: &dyn Experiment, ctx: &mut RunContext) -> RunOutput {
         profile: ctx.profile.name,
         seed: ctx.seed,
         threads: ctx.engine.pool.threads(),
-        serial: ctx.serial,
+        serial: ctx.engine.mc.is_none(),
         early_stop,
         wall,
         points,

@@ -11,7 +11,7 @@
 //! noiseless co-simulation to reproduce the optimistic-BER artifact.
 
 use crate::experiments::{Effort, Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkSimulation};
+use crate::link::{FrontEnd, LinkConfig};
 use crate::report::{bar, format_ber, Table};
 use wlan_dataflow::sweep::Sweep;
 use wlan_phy::Rate;
@@ -116,17 +116,13 @@ impl Experiment for NfSweep {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let r = if ctx.serial {
-            run(ctx.effort, self.rx_level_dbm.0, self.points, ctx.seed)
-        } else {
-            run_parallel(
-                ctx.effort,
-                self.rx_level_dbm.0,
-                self.points,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
+        let r = run(
+            ctx.effort,
+            self.rx_level_dbm.0,
+            self.points,
+            ctx.seed,
+            &ctx.engine,
+        );
         RunOutput {
             tables: vec![r.table()],
             snapshot: r.snapshot(),
@@ -197,23 +193,9 @@ fn collect(
     }
 }
 
-/// Runs the sweep near sensitivity.
-pub fn run(effort: Effort, rx_level_dbm: f64, points: usize, seed: u64) -> NfResult {
-    let sweep = Sweep::linspace(3.0, 27.0, points.max(2));
-    let rows = sweep.run(|&nf| {
-        let base = LinkSimulation::new(baseband_config(effort, nf, rx_level_dbm, seed)).run();
-        // The co-simulation cannot model the noise figure at all — every
-        // NF setting produces the same (noiseless) behavior.
-        let cosim = LinkSimulation::new(cosim_config(effort, rx_level_dbm, seed)).run();
-        (base.ber(), cosim.ber(), base.meter.bits())
-    });
-    collect(rows, rx_level_dbm)
-}
-
-/// [`run`] on the parallel engine: each NF point (both the baseband and
-/// the co-simulation series) runs as one pool task with deterministic
-/// seed streams.
-pub fn run_parallel(
+/// Runs the sweep near sensitivity. Each NF point (both the baseband
+/// and the co-simulation series) runs as one task on the engine's pool.
+pub fn run(
     effort: Effort,
     rx_level_dbm: f64,
     points: usize,
@@ -223,6 +205,8 @@ pub fn run_parallel(
     let sweep = Sweep::linspace(3.0, 27.0, points.max(2));
     let rows = sweep.run_parallel_indexed(&engine.pool, |i, &nf| {
         let base = engine.measure(baseband_config(effort, nf, rx_level_dbm, seed), i);
+        // The co-simulation cannot model the noise figure at all — every
+        // NF setting produces the same (noiseless) behavior.
         let cosim = engine.measure(cosim_config(effort, rx_level_dbm, seed), i);
         (base.ber(), cosim.ber(), base.meter.bits())
     });
@@ -237,7 +221,7 @@ mod tests {
     fn cosim_is_optimistic_at_high_nf() {
         // At −82 dBm a 27 dB front-end NF kills the baseband link while
         // the noiseless co-sim stays clean — the paper's observed gap.
-        let r = run(Effort::quick(), -82.0, 3, 9);
+        let r = run(Effort::quick(), -82.0, 3, 9, &Engine::reference());
         let worst = r.points.last().unwrap();
         assert!(worst.nf_db > 20.0);
         assert!(
@@ -255,8 +239,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_thread_invariant() {
-        let serial = run_parallel(Effort::quick(), -80.0, 2, 10, &Engine::serial());
-        let par = run_parallel(Effort::quick(), -80.0, 2, 10, &Engine::with_threads(2));
+        let serial = run(Effort::quick(), -80.0, 2, 10, &Engine::with_threads(1));
+        let par = run(Effort::quick(), -80.0, 2, 10, &Engine::with_threads(2));
         for (a, b) in serial.points.iter().zip(par.points.iter()) {
             assert_eq!(a, b);
         }
@@ -264,7 +248,7 @@ mod tests {
 
     #[test]
     fn low_nf_link_works() {
-        let r = run(Effort::quick(), -80.0, 2, 10);
+        let r = run(Effort::quick(), -80.0, 2, 10, &Engine::reference());
         let best = r.points.first().unwrap();
         assert!(best.ber_baseband < 0.02, "{}", best.ber_baseband);
         assert!(r.table().render().contains("noise figure"));

@@ -8,7 +8,7 @@
 //! ratio is far above 1 on any machine.
 
 use crate::experiments::{Engine, Experiment, PointStat, RunContext, RunOutput};
-use crate::link::{FrontEnd, LinkConfig, LinkReport, LinkSimulation, McRun};
+use crate::link::{FrontEnd, LinkConfig};
 use crate::report::Table;
 use std::time::Duration;
 use wlan_phy::Rate;
@@ -72,7 +72,7 @@ pub struct Table2Timing {
     pub packet_counts: &'static [usize],
     /// PSDU length (bytes).
     pub psdu_len: usize,
-    /// Analog sub-steps per RF sample (`WLANSIM_ANALOG_OSR` overrides).
+    /// Analog sub-steps per RF sample of the co-simulation.
     pub analog_osr: usize,
 }
 
@@ -105,21 +105,13 @@ impl Experiment for Table2Timing {
     }
 
     fn run(&self, ctx: &RunContext) -> RunOutput {
-        let osr = std::env::var("WLANSIM_ANALOG_OSR")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(self.analog_osr);
-        let r = if ctx.serial {
-            run(self.packet_counts, self.psdu_len, osr, ctx.seed)
-        } else {
-            run_parallel(
-                self.packet_counts,
-                self.psdu_len,
-                osr,
-                ctx.seed,
-                &ctx.engine,
-            )
-        };
+        let r = run(
+            self.packet_counts,
+            self.psdu_len,
+            self.analog_osr,
+            ctx.seed,
+            &ctx.engine,
+        );
         let mut snapshot = vec![
             ("n_rows".to_string(), r.rows.len() as f64),
             ("analog_osr".to_string(), r.analog_osr as f64),
@@ -157,67 +149,13 @@ fn mode_config(front_end: FrontEnd, packets: usize, psdu_len: usize, seed: u64) 
     }
 }
 
-fn run_mode(front_end: FrontEnd, packets: usize, psdu_len: usize, seed: u64) -> Duration {
-    LinkSimulation::new(mode_config(front_end, packets, psdu_len, seed))
-        .run()
-        .elapsed
-}
-
-/// [`run_mode`] on the engine pool: the packet budget runs as the
-/// sharded, thread-invariant Monte-Carlo schedule. Timings shrink with
-/// the worker count; the meters do not change.
-fn run_mode_parallel(
-    front_end: FrontEnd,
-    packets: usize,
-    psdu_len: usize,
-    seed: u64,
-    engine: &Engine,
-) -> LinkReport {
-    let mc = McRun {
-        point_index: 0,
-        ..engine.mc
-    };
-    LinkSimulation::new(mode_config(front_end, packets, psdu_len, seed))
-        .run_parallel(&engine.pool, &mc)
-}
-
 /// Runs the comparison for the given packet counts.
 ///
 /// `analog_osr` sets the co-simulation's sub-step count (the paper's
-/// ratio regime is reached around 16–32).
-pub fn run(packet_counts: &[usize], psdu_len: usize, analog_osr: usize, seed: u64) -> Table2Result {
-    let rows = packet_counts
-        .iter()
-        .map(|&packets| {
-            let cfg = RfConfig {
-                noise_enabled: false, // match the noiseless co-sim
-                ..RfConfig::default()
-            };
-            let baseband = run_mode(FrontEnd::RfBaseband(cfg), packets, psdu_len, seed);
-            let cosim = run_mode(
-                FrontEnd::RfCosim {
-                    filter_edge_hz: 10e6,
-                    analog_osr,
-                    noise_workaround: false,
-                },
-                packets,
-                psdu_len,
-                seed,
-            );
-            TimingRow {
-                packets,
-                baseband,
-                cosim,
-            }
-        })
-        .collect();
-    Table2Result { rows, analog_osr }
-}
-
-/// [`run`] with the frame budget of every timed run sharded across the
-/// engine's pool. The wall-clock ratios stay structural (both modes
-/// parallelize the same way); only absolute times shrink.
-pub fn run_parallel(
+/// ratio regime is reached around 16–32). Each timed run is one
+/// [`Engine::measure`] call, so its frames run on one worker and the
+/// table reports single-simulator time, as the paper's Table 2 does.
+pub fn run(
     packet_counts: &[usize],
     psdu_len: usize,
     analog_osr: usize,
@@ -231,25 +169,19 @@ pub fn run_parallel(
                 noise_enabled: false, // match the noiseless co-sim
                 ..RfConfig::default()
             };
-            let baseband =
-                run_mode_parallel(FrontEnd::RfBaseband(cfg), packets, psdu_len, seed, engine)
-                    .elapsed;
-            let cosim = run_mode_parallel(
-                FrontEnd::RfCosim {
+            let time = |front_end| {
+                engine
+                    .measure(mode_config(front_end, packets, psdu_len, seed), 0)
+                    .elapsed
+            };
+            TimingRow {
+                packets,
+                baseband: time(FrontEnd::RfBaseband(cfg)),
+                cosim: time(FrontEnd::RfCosim {
                     filter_edge_hz: 10e6,
                     analog_osr,
                     noise_workaround: false,
-                },
-                packets,
-                psdu_len,
-                seed,
-                engine,
-            )
-            .elapsed;
-            TimingRow {
-                packets,
-                baseband,
-                cosim,
+                }),
             }
         })
         .collect();
@@ -259,10 +191,12 @@ pub fn run_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{LinkSimulation, McRun};
+    use wlan_exec::ThreadPool;
 
     #[test]
     fn cosim_is_much_slower() {
-        let r = run(&[1], 60, 16, 1);
+        let r = run(&[1], 60, 16, 1, &Engine::reference());
         assert_eq!(r.rows.len(), 1);
         let ratio = r.rows[0].ratio();
         assert!(ratio > 3.0, "co-sim only {ratio:.1}x slower");
@@ -270,29 +204,27 @@ mod tests {
 
     #[test]
     fn time_grows_with_packets() {
-        let r = run(&[1, 3], 60, 4, 2);
+        let r = run(&[1, 3], 60, 4, 2, &Engine::reference());
         assert!(r.rows[1].cosim > r.rows[0].cosim);
         assert!(r.table().render().contains("Table 2"));
     }
 
     #[test]
     fn parallel_meters_are_thread_invariant() {
-        // Timings are host-dependent; the invariant the parallel path
-        // must hold is that the metered link outcome of every timed run
+        // Timings are host-dependent; the invariant a timed mode must
+        // hold is that its frame-sharded link outcome on an RF front end
         // is identical for any worker count.
         let cfg = RfConfig {
             noise_enabled: false,
             ..RfConfig::default()
         };
-        let base = run_mode_parallel(FrontEnd::RfBaseband(cfg), 4, 60, 9, &Engine::serial());
+        let timed = |threads: usize| {
+            LinkSimulation::new(mode_config(FrontEnd::RfBaseband(cfg), 4, 60, 9))
+                .run_parallel(&ThreadPool::new(threads), &McRun::default())
+        };
+        let base = timed(1);
         for threads in [2, 4] {
-            let r = run_mode_parallel(
-                FrontEnd::RfBaseband(cfg),
-                4,
-                60,
-                9,
-                &Engine::with_threads(threads),
-            );
+            let r = timed(threads);
             assert_eq!(r.meter, base.meter, "{threads} threads");
             assert_eq!(r.decoded_packets, base.decoded_packets);
             assert_eq!(r.evm_db, base.evm_db);
@@ -302,7 +234,7 @@ mod tests {
 
     #[test]
     fn parallel_rows_match_structure() {
-        let r = run_parallel(&[1, 2], 60, 4, 2, &Engine::with_threads(2));
+        let r = run(&[1, 2], 60, 4, 2, &Engine::with_threads(2));
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.analog_osr, 4);
         assert_eq!(r.rows[0].packets, 1);

@@ -7,7 +7,7 @@
 //! cargo run --release --example adjacent_channel
 //! ```
 
-use wlan_sim::experiments::{fig4, fig5, Effort};
+use wlan_sim::experiments::{fig4, fig5, Effort, Engine};
 
 fn main() {
     // Figure 4: the scene spectrum.
@@ -25,7 +25,7 @@ fn main() {
         packets: 4,
         psdu_len: 100,
     };
-    let sweep = fig5::run(effort, 7, 42);
+    let sweep = fig5::run(effort, 7, 42, &Engine::reference());
     println!("{}", sweep.table());
     println!(
         "best channel-filter edge: {:.1} MHz (the OFDM band needs ±8.3 MHz;\n\

@@ -74,9 +74,9 @@ fn different_seeds_differ() {
 
 #[test]
 fn experiments_are_reproducible() {
-    use wlan_sim::experiments::{fig5, Effort};
-    let a = fig5::run(Effort::quick(), 3, 5);
-    let b = fig5::run(Effort::quick(), 3, 5);
+    use wlan_sim::experiments::{fig5, Effort, Engine};
+    let a = fig5::run(Effort::quick(), 3, 5, &Engine::reference());
+    let b = fig5::run(Effort::quick(), 3, 5, &Engine::reference());
     for (x, y) in a.points.iter().zip(b.points.iter()) {
         assert_eq!(x.ber, y.ber);
         assert_eq!(x.bits, y.bits);

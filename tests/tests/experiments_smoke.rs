@@ -20,14 +20,14 @@ fn fig4_smoke() {
 
 #[test]
 fn fig5_smoke() {
-    let r = fig5::run(Effort::quick(), 4, 2);
+    let r = fig5::run(Effort::quick(), 4, 2, &Engine::reference());
     assert_eq!(r.points.len(), 4);
     assert!(r.points.iter().all(|p| p.ber.is_finite() && p.ber <= 1.0));
 }
 
 #[test]
 fn fig6_smoke() {
-    let r = fig6::run(Effort::quick(), -45.0, -10.0, 3, 3);
+    let r = fig6::run(Effort::quick(), -45.0, -10.0, 3, 3, &Engine::reference());
     assert_eq!(r.points.len(), 3);
     // The adjacent series can never beat the alone series by much.
     for p in &r.points {
@@ -37,20 +37,28 @@ fn fig6_smoke() {
 
 #[test]
 fn table2_smoke() {
-    let r = table2::run(&[1], 40, 4, 4);
+    let r = table2::run(&[1], 40, 4, 4, &Engine::reference());
     assert!(r.rows[0].ratio() > 1.0);
 }
 
 #[test]
 fn ip3_smoke() {
-    let r = ip3::run(Effort::quick(), -35.0, -5.0, 3, 5, &wlan_phy::IEEE_802_11A);
+    let r = ip3::run(
+        Effort::quick(),
+        -35.0,
+        -5.0,
+        3,
+        5,
+        &wlan_phy::IEEE_802_11A,
+        &Engine::reference(),
+    );
     assert_eq!(r.points.len(), 3);
     assert!(r.points[0].ber >= r.points[2].ber);
 }
 
 #[test]
 fn nf_smoke() {
-    let r = noise_figure::run(Effort::quick(), -80.0, 2, 6);
+    let r = noise_figure::run(Effort::quick(), -80.0, 2, 6, &Engine::reference());
     assert_eq!(r.points.len(), 2);
 }
 

@@ -94,29 +94,32 @@ fn early_stopping_decisions_are_thread_invariant() {
 
 #[test]
 fn experiment_sweep_is_thread_invariant_end_to_end() {
-    // Full RF-chain experiment through the engine: 1 vs 4 threads.
-    let serial = ip3::run_parallel(
-        Effort::quick(),
-        -35.0,
-        -15.0,
-        2,
-        11,
-        &wlan_phy::IEEE_802_11A,
-        &Engine::serial(),
-    );
-    let par = ip3::run_parallel(
-        Effort::quick(),
-        -35.0,
-        -15.0,
-        2,
-        11,
-        &wlan_phy::IEEE_802_11A,
-        &Engine::with_threads(4),
-    );
-    assert_eq!(serial.points.len(), par.points.len());
-    for (a, b) in serial.points.iter().zip(par.points.iter()) {
+    // Full RF-chain experiment through the engine: 1 vs 4 threads, for
+    // the sharded estimator and for the reference estimator.
+    let sweep = |engine: &Engine| {
+        ip3::run(
+            Effort::quick(),
+            -35.0,
+            -15.0,
+            2,
+            11,
+            &wlan_phy::IEEE_802_11A,
+            engine,
+        )
+        .points
+    };
+    let serial = sweep(&Engine::with_threads(1));
+    let par = sweep(&Engine::with_threads(4));
+    assert_eq!(serial.len(), par.len());
+    for (a, b) in serial.iter().zip(par.iter()) {
         assert_eq!(a, b);
     }
+    let reference = sweep(&Engine::reference());
+    let reference_par = sweep(&Engine {
+        pool: ThreadPool::new(4),
+        mc: None,
+    });
+    assert_eq!(reference, reference_par);
 }
 
 #[test]

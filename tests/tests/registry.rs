@@ -158,7 +158,16 @@ fn trait_run_bit_identical_to_legacy_level_sweep() {
     };
     let mut ctx = RunContext::serial_reference(Effort::quick(), 3);
     let via_trait = execute(&EXP, &mut ctx).snapshot;
-    let legacy = level_sweep::run(Effort::quick(), Rate::R12, -90.0, -40.0, 3, 3).snapshot();
+    let legacy = level_sweep::run(
+        Effort::quick(),
+        Rate::R12,
+        -90.0,
+        -40.0,
+        3,
+        3,
+        &Engine::reference(),
+    )
+    .snapshot();
     assert_eq!(via_trait, legacy);
 }
 
@@ -196,9 +205,67 @@ fn trait_run_bit_identical_to_legacy_blocking() {
         2,
         5,
         &wlan_phy::IEEE_802_11A,
+        &Engine::reference(),
     )
     .snapshot();
     assert_eq!(via_trait, legacy);
+}
+
+/// The registry path under `serial_reference` is bit-identical to a
+/// direct `run(…, &Engine::reference())` for the reference-engine
+/// sweeps the pinned goldens do not cover.
+#[test]
+fn trait_run_bit_identical_to_reference_engine_sweeps() {
+    let e = Engine::reference();
+    let q = Effort::quick();
+    type Case = (Box<dyn Experiment>, u64, Vec<(String, f64)>);
+    let cases: Vec<Case> = vec![
+        (
+            Box::new(fig5::Fig5Sweep { points: 3 }),
+            4,
+            fig5::run(q, 3, 4, &e).snapshot(),
+        ),
+        (
+            Box::new(fig6::Fig6Sweep {
+                lo_dbm: wlan_units::Dbm(-45.0),
+                hi_dbm: wlan_units::Dbm(-10.0),
+                points: 2,
+            }),
+            6,
+            fig6::run(q, -45.0, -10.0, 2, 6, &e).snapshot(),
+        ),
+        (
+            Box::new(noise_figure::NfSweep {
+                rx_level_dbm: wlan_units::Dbm(-80.0),
+                points: 2,
+            }),
+            9,
+            noise_figure::run(q, -80.0, 2, 9, &e).snapshot(),
+        ),
+        (
+            Box::new(fading::FadingSweep {
+                rate: Rate::R12,
+                snr_db: wlan_units::Db(30.0),
+                trms_list: &[50e-9, 400e-9],
+            }),
+            13,
+            fading::run(q, Rate::R12, 30.0, &[50e-9, 400e-9], 13, &e).snapshot(),
+        ),
+        (
+            Box::new(cfo::CfoSweep {
+                rate: Rate::R24,
+                max_hz: wlan_units::Hz(400e3),
+                points: 3,
+            }),
+            23,
+            cfo::run(q, Rate::R24, 400e3, 3, 23, &e).snapshot(),
+        ),
+    ];
+    for (exp, seed, direct) in cases {
+        let mut ctx = RunContext::serial_reference(q, seed);
+        let via_trait = execute(exp.as_ref(), &mut ctx).snapshot;
+        assert_eq!(via_trait, direct, "{}", exp.name());
+    }
 }
 
 #[test]
@@ -214,6 +281,7 @@ fn execute_records_manifest_ready_telemetry() {
     assert_eq!(rec.points.len(), out.points.len());
     assert!(rec.wall >= std::time::Duration::ZERO);
     assert!(rec.serial);
+    assert!(!rec.early_stop, "a reference run never early-stops");
     assert_eq!(rec.threads, 1);
     // The manifest produced from this sink must pass the conformance
     // validator — the same gate CI applies to `wlansim` output.
