@@ -27,8 +27,11 @@ use wlan_sim::link::{FrontEnd, LinkConfig, LinkSimulation};
 /// per-profile link throughput map (`link.profiles`, packets/s per OFDM
 /// numerology — the `packets_per_s` key remains the 802.11a figure the
 /// baseline gate compares); schema 4 drops the batch-plane kernel
-/// entries (`*_batch_*`) and the `link.batched_identical` flag.
-const KERNEL_JSON_SCHEMA: u32 = 4;
+/// entries (`*_batch_*`) and the `link.batched_identical` flag; schema 5
+/// adds `rf_chain_noiseless_ns` (the same `process_into` frame with all
+/// RF noise off) and `rf_noise_share`, the fraction of the noisy chain's
+/// time spent generating noise.
+const KERNEL_JSON_SCHEMA: u32 = 5;
 
 /// Single-thread link throughput of the pre-optimization tree
 /// (commit `6c17661`), measured with the exact workload of
@@ -171,6 +174,21 @@ fn main() {
     let rf_ref_s = g.bench_function("process_staged", |b| {
         b.iter(|| staged.process_staged(&scene).len())
     });
+    // The same frame through the same chain with every noise source
+    // off: what is left of `process_into` once noise generation is gone.
+    let mut noiseless = DoubleConversionReceiver::new(
+        RfConfig {
+            noise_enabled: false,
+            ..RfConfig::default()
+        },
+        42,
+    );
+    let rf_quiet_s = g.bench_function("process_into_noiseless", |b| {
+        b.iter(|| {
+            noiseless.process_into(&scene, &mut scratch, &mut y);
+            y.len()
+        })
+    });
     g.finish();
 
     // --- End-to-end link throughput (single thread). ---
@@ -215,9 +233,14 @@ fn main() {
     let vit_speedup = vit_ref_s / vit_opt_s.max(1e-12);
     let fft_speedup = fft_ref_s / fft_opt_s.max(1e-12);
     let rf_speedup = rf_ref_s / rf_opt_s.max(1e-12);
+    let rf_noise_share = (1.0 - rf_quiet_s / rf_opt_s.max(1e-12)).max(0.0);
     println!("viterbi  {vit_speedup:.2}x vs reference, bit-identical: {vit_ok}");
     println!("fft64    {fft_speedup:.2}x vs radix-2 loop, bit-identical: {fft_ok}");
     println!("rf_chain {rf_speedup:.2}x vs staged, bit-identical: {rf_ok}");
+    println!(
+        "rf_chain noise generation: {:.0}% of process_into",
+        100.0 * rf_noise_share
+    );
     println!(
         "link     {packets_per_s:.1} packets/s ({link_speedup:.2}x vs pre-PR \
          {BASELINE_PACKETS_PER_S} packets/s), reproducible: {link_ok}"
@@ -242,7 +265,9 @@ fn main() {
          \"fft64_opt_ns\": {:.1},\n    \"fft64_ref_ns\": {:.1},\n    \
          \"fft64_speedup\": {fft_speedup:.4},\n    \
          \"rf_chain_opt_ns\": {:.1},\n    \"rf_chain_ref_ns\": {:.1},\n    \
-         \"rf_chain_speedup\": {rf_speedup:.4}\n  }},\n  \"link\": {{\n    \
+         \"rf_chain_speedup\": {rf_speedup:.4},\n    \
+         \"rf_chain_noiseless_ns\": {:.1},\n    \
+         \"rf_noise_share\": {rf_noise_share:.4}\n  }},\n  \"link\": {{\n    \
          \"packets\": {link_packets},\n    \"runs\": {link_runs},\n    \
          \"packets_per_s\": {packets_per_s:.1},\n    \
          \"baseline_packets_per_s\": {BASELINE_PACKETS_PER_S},\n    \
@@ -255,6 +280,7 @@ fn main() {
         fft_ref_s * 1e9,
         rf_opt_s * 1e9,
         rf_ref_s * 1e9,
+        rf_quiet_s * 1e9,
     );
     match std::fs::write("BENCH_kernels.json", &json) {
         Ok(()) => println!("(BENCH_kernels.json written)"),

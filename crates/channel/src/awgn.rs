@@ -30,9 +30,7 @@ impl Awgn {
     /// draw order), so the per-packet link loop needs no noise-output
     /// buffer.
     pub fn add_noise_power_in_place(&mut self, x: &mut [Complex], noise_power: f64) {
-        for v in x.iter_mut() {
-            *v += self.rng.complex_gaussian(noise_power);
-        }
+        self.rng.add_complex_gaussian(x, noise_power);
     }
 
     /// Adds noise at a target SNR in dB, measured against the *actual*

@@ -137,7 +137,8 @@ pub struct LinkReport {
     pub decoded_packets: usize,
     /// BER meter with totals.
     pub meter: BerMeter,
-    /// Mean EVM (dB) over decoded packets, `None` if nothing decoded.
+    /// Mean EVM (dB) over decoded packets with a finite EVM, `None` if
+    /// there are none.
     pub evm_db: Option<f64>,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
@@ -153,8 +154,8 @@ impl LinkReport {
             packets: acc.packets,
             decoded_packets: acc.decoded_packets,
             meter: acc.meter,
-            evm_db: if acc.decoded_packets > 0 {
-                Some(acc.evm_sum_db / acc.decoded_packets as f64)
+            evm_db: if acc.evm_packets > 0 {
+                Some(acc.evm_sum_db / acc.evm_packets as f64)
             } else {
                 None
             },
@@ -266,8 +267,13 @@ pub struct ShardReport {
     pub meter: BerMeter,
     /// Frames that decoded.
     pub decoded_packets: usize,
-    /// Sum of per-packet EVM (dB) over decoded frames.
+    /// Sum of per-packet EVM (dB) over decoded frames with a finite
+    /// EVM.
     pub evm_sum_db: f64,
+    /// Decoded frames whose EVM entered `evm_sum_db`. A non-finite EVM
+    /// (`−inf` dB from an error-free constellation) is left out, so it
+    /// cannot poison the mean.
+    pub evm_packets: usize,
     /// Frames simulated.
     pub packets: usize,
 }
@@ -281,7 +287,10 @@ impl ShardReport {
         match outcome {
             PacketOutcome::Decoded { evm_db } => {
                 self.meter.update_bytes(sent, &fe.scratch.rx.psdu);
-                self.evm_sum_db += evm_db;
+                if evm_db.is_finite() {
+                    self.evm_sum_db += evm_db;
+                    self.evm_packets += 1;
+                }
                 self.decoded_packets += 1;
             }
             PacketOutcome::Lost => self.meter.update_lost_packet(8 * sent.len()),
@@ -299,6 +308,7 @@ impl McAccumulator for ShardReport {
         self.meter.merge(&other.meter);
         self.decoded_packets += other.decoded_packets;
         self.evm_sum_db += other.evm_sum_db;
+        self.evm_packets += other.evm_packets;
         self.packets += other.packets;
     }
 }
@@ -633,6 +643,31 @@ mod tests {
         assert_eq!(r.ber(), 0.0);
         assert_eq!(r.decoded_packets, 3);
         assert!(r.evm_db.unwrap() < -35.0);
+    }
+
+    #[test]
+    fn mean_evm_skips_non_finite_packets() {
+        let sim = LinkSimulation::new(LinkConfig::default());
+        let fe = sim.front_end_state(1);
+        let decoded = |evm_db| PacketOutcome::Decoded { evm_db };
+        let mut acc = ShardReport::default();
+        acc.record(decoded(f64::NEG_INFINITY), &fe);
+        acc.record(decoded(-20.0), &fe);
+        acc.record(decoded(f64::NAN), &fe);
+        acc.record(decoded(-30.0), &fe);
+        acc.record(PacketOutcome::Lost, &fe);
+        let r = LinkReport::from_shard(acc, Duration::ZERO);
+        assert_eq!((r.packets, r.decoded_packets), (5, 4));
+        assert_eq!(r.evm_db, Some(-25.0));
+
+        // Decoded packets, none with a finite EVM: no mean at all.
+        let mut acc = ShardReport::default();
+        acc.record(decoded(f64::NEG_INFINITY), &fe);
+        let mut other = ShardReport::default();
+        other.record(decoded(f64::NEG_INFINITY), &fe);
+        acc.absorb(other);
+        let r = LinkReport::from_shard(acc, Duration::ZERO);
+        assert_eq!((r.decoded_packets, r.evm_db), (2, None));
     }
 
     #[test]

@@ -143,10 +143,11 @@ impl Mixer {
     }
 
     /// Processes a frame in place, stage-major: thermal pass, LO
-    /// phase-noise pass, a pure (autovectorizable) IQ/gain/DC pass, then
-    /// the flicker pass. Every noise process owns its RNG stream, so each
-    /// stream sees the same draw order as per-sample [`Mixer::push`] and
-    /// the output is bit-identical.
+    /// phase-noise pass (one `cis` per block), a pure
+    /// (autovectorizable) IQ/gain/DC pass, then the flicker pass (one
+    /// held sum per tick). Every noise process owns its RNG stream and
+    /// its one stepping routine, so each stream sees the same draw order
+    /// as per-sample [`Mixer::push`] and the output is bit-identical.
     pub fn process_in_place(&mut self, x: &mut [Complex]) {
         if self.noise_enabled {
             self.thermal.add_to(x);
@@ -269,6 +270,34 @@ mod tests {
             lowband > 5.0 * highband,
             "flicker not visible: {lowband} vs {highband}"
         );
+    }
+
+    #[test]
+    fn in_place_matches_per_sample_across_ragged_frames() {
+        let cfg = MixerConfig {
+            dc_offset_dbm: Some(Dbm(-45.0)),
+            iq_gain_imbalance_db: Db(0.15),
+            iq_phase_imbalance_deg: 1.0,
+            flicker_corner_hz: Some(Hz(100e3)),
+            lo_linewidth_hz: Hz(200.0),
+            ..Default::default()
+        };
+        let mut frame = Mixer::new(cfg, 80e6, Rng::new(8));
+        let mut sample = Mixer::new(cfg, 80e6, Rng::new(8));
+        let mut rng = Rng::new(9);
+        // Frame lengths that split LO blocks and flicker ticks.
+        for len in [100usize, 7, 33, 1, 4000] {
+            let x: Vec<Complex> = (0..len).map(|_| rng.complex_gaussian(1e-6)).collect();
+            let mut got = x.clone();
+            frame.process_in_place(&mut got);
+            let want = sample.process(&x);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (g.re.to_bits(), g.im.to_bits()),
+                    (w.re.to_bits(), w.im.to_bits())
+                );
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,10 @@ fn link_report_pins_ideal_seed_behavior() {
 /// RF-baseband link near sensitivity with an adjacent-channel
 /// interferer: pins the fused front-end chain (LNA → mixers → filters →
 /// AGC → ADC → decimation) plus the scene builder's RNG draw order.
+/// Re-pinned once, when the flicker generator moved to per-section
+/// rates (a deliberate change of its random stream, vouched for by the
+/// statistical gates in `rf_noise_model.rs`): errors 1322 → 1299, EVM
+/// −7.230632560856826 → −7.223434479088331 dB.
 #[test]
 fn link_report_pins_rf_baseband_seed_behavior() {
     let report = LinkSimulation::new(LinkConfig {
@@ -88,12 +92,12 @@ fn link_report_pins_rf_baseband_seed_behavior() {
     })
     .run();
 
-    assert_eq!(report.meter.errors(), 1322);
+    assert_eq!(report.meter.errors(), 1299);
     assert_eq!(report.meter.bits(), 2560);
     assert_eq!(report.meter.packets(), 4);
     assert_eq!(report.meter.packet_errors(), 4);
     assert_eq!(report.decoded_packets, 4);
-    assert_eq!(report.evm_db, Some(-7.230632560856826));
+    assert_eq!(report.evm_db, Some(-7.223434479088331));
 }
 
 /// Noisy LLRs for a random terminated codeword.
