@@ -1,8 +1,9 @@
 //! `kernel_bench` — ns/op timings of the three dominant hot-path
 //! kernels (Viterbi decode, 64-point FFT, fused RF front-end chain)
-//! against their serial reference implementations, plus the end-to-end
-//! single-thread link throughput in packets/s, written to
-//! `BENCH_kernels.json` for the repo's perf trajectory (paper §4.2).
+//! against their serial reference implementations, plus the RF chain
+//! with its noise sources off, written to `BENCH_kernels.json` as
+//! same-process ratios CI can gate on. End-to-end throughput is the
+//! `wlanbench` benchmark's job.
 //!
 //! Every optimized kernel must be *bit-identical* to its reference —
 //! the same guarantee the golden files and Annex G gates enforce. The
@@ -12,47 +13,55 @@
 //!
 //! Environment:
 //! * `WLANSIM_BENCH_SMOKE=1` — short workloads (CI smoke mode).
-//! * `WLANSIM_BENCH_SAMPLES` — timing samples per benchmark.
 
-use std::time::Instant;
-use wlan_bench::harness::{Harness, Throughput};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 use wlan_dsp::fft::Fft;
 use wlan_dsp::{Complex, Rng};
 use wlan_phy::viterbi::{Llr, ViterbiDecoder};
-use wlan_phy::Rate;
 use wlan_rf::receiver::{DoubleConversionReceiver, RfConfig, RfScratch};
-use wlan_sim::link::{FrontEnd, LinkConfig, LinkSimulation};
 
-/// Schema version of `BENCH_kernels.json`. Schema 3 added the
-/// per-profile link throughput map (`link.profiles`, packets/s per OFDM
-/// numerology — the `packets_per_s` key remains the 802.11a figure the
-/// baseline gate compares); schema 4 drops the batch-plane kernel
-/// entries (`*_batch_*`) and the `link.batched_identical` flag; schema 5
-/// adds `rf_chain_noiseless_ns` (the same `process_into` frame with all
-/// RF noise off) and `rf_noise_share`, the fraction of the noisy chain's
-/// time spent generating noise.
-const KERNEL_JSON_SCHEMA: u32 = 5;
+/// Schema version of `BENCH_kernels.json`. Schema 4 dropped the
+/// batch-plane kernel entries (`*_batch_*`) and the
+/// `link.batched_identical` flag; schema 5 added `rf_chain_noiseless_ns`
+/// (the same `process_into` frame with all RF noise off) and
+/// `rf_noise_share`, the fraction of the noisy chain's time spent
+/// generating noise; schema 6 drops the end-to-end `link` section,
+/// which `wlanbench` measures with spread.
+const KERNEL_JSON_SCHEMA: u32 = 6;
 
-/// Single-thread link throughput of the pre-optimization tree
-/// (commit `6c17661`), measured with the exact workload of
-/// [`link_workload`] in full (non-smoke) mode, best of 3 runs, on the
-/// reference builder. The acceptance gate for this PR is
-/// `packets_per_s / BASELINE_PACKETS_PER_S >= 1.5` in full mode.
-const BASELINE_PACKETS_PER_S: f64 = 458.1;
+/// Timing samples per kernel; each kernel reports their median.
+const SAMPLES: usize = 20;
 
-/// The end-to-end workload: ideal front end so the run time is
-/// dominated by the PHY kernels rather than the RF oversampled scene.
-fn link_workload(packets: usize, profile: &'static wlan_phy::OfdmProfile) -> LinkConfig {
-    LinkConfig {
-        profile,
-        rate: Rate::R36,
-        psdu_len: 300,
-        packets,
-        seed: 11,
-        snr_db: Some(18.0),
-        front_end: FrontEnd::Ideal,
-        ..LinkConfig::default()
+/// Times `f` and prints one `label  ns/iter` line: the median
+/// per-iteration time over [`SAMPLES`] samples, each a batch of
+/// iterations calibrated on untimed warm-up runs to cover ~10 ms.
+/// Returns the median in seconds.
+fn median_time<O>(label: &str, mut f: impl FnMut() -> O) -> f64 {
+    let mut batch = 1u64;
+    loop {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        if t0.elapsed() >= Duration::from_millis(10) || batch >= 1 << 20 {
+            break;
+        }
+        batch *= 4;
     }
+    let mut times: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            t0.elapsed().as_secs_f64() / batch as f64
+        })
+        .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let median = times[times.len() / 2];
+    println!("{label:<42} {:>14.1} ns/iter", median * 1e9);
+    median
 }
 
 /// Noisy LLR stream for a random terminated convolutional codeword.
@@ -81,17 +90,12 @@ fn main() {
     let smoke = std::env::var("WLANSIM_BENCH_SMOKE")
         .map(|v| v != "0")
         .unwrap_or(false);
-    let (vit_bits, rf_len, link_packets, link_runs) = if smoke {
-        (240, 2000, 4, 1)
-    } else {
-        (1200, 8000, 30, 3)
-    };
+    let (vit_bits, rf_len) = if smoke { (240, 2000) } else { (1200, 8000) };
     eprintln!(
         "kernel_bench: viterbi {vit_bits} bits, rf {rf_len} samples, \
-         link {link_packets} packets x {link_runs} run(s){}",
+         {SAMPLES} timing samples{}",
         if smoke { " [smoke]" } else { "" }
     );
-    let mut h = Harness::from_env();
     let mut identical = true;
 
     // --- Viterbi: reusable decoder vs the conformance reference. ---
@@ -103,18 +107,13 @@ fn main() {
     let vit_ok = bits == reference;
     identical &= vit_ok;
 
-    let mut g = h.benchmark_group("viterbi");
-    g.throughput(Throughput::Elements((llrs.len() / 2) as u64));
-    let vit_opt_s = g.bench_function("decode_soft_into", |b| {
-        b.iter(|| {
-            dec.decode_soft_into(&llrs, &mut bits);
-            bits.len()
-        })
+    let vit_opt_s = median_time("viterbi/decode_soft_into", || {
+        dec.decode_soft_into(&llrs, &mut bits);
+        bits.len()
     });
-    let vit_ref_s = g.bench_function("reference", |b| {
-        b.iter(|| wlan_conformance::refimpl::viterbi_reference(&llrs).len())
+    let vit_ref_s = median_time("viterbi/reference", || {
+        wlan_conformance::refimpl::viterbi_reference(&llrs).len()
     });
-    g.finish();
 
     // --- FFT: specialized 64-point kernel vs the generic radix-2 loop. ---
     let fft = Fft::new(64);
@@ -130,24 +129,17 @@ fn main() {
     fft_ok &= fast == generic;
     identical &= fft_ok;
 
-    let mut g = h.benchmark_group("fft64");
-    g.throughput(Throughput::Elements(64));
     let mut buf = x64.clone();
-    let fft_opt_s = g.bench_function("forward", |b| {
-        b.iter(|| {
-            buf.copy_from_slice(&x64);
-            fft.forward(&mut buf);
-            buf[0]
-        })
+    let fft_opt_s = median_time("fft64/forward", || {
+        buf.copy_from_slice(&x64);
+        fft.forward(&mut buf);
+        buf[0]
     });
-    let fft_ref_s = g.bench_function("forward_radix2", |b| {
-        b.iter(|| {
-            buf.copy_from_slice(&x64);
-            fft.forward_radix2(&mut buf);
-            buf[0]
-        })
+    let fft_ref_s = median_time("fft64/forward_radix2", || {
+        buf.copy_from_slice(&x64);
+        fft.forward_radix2(&mut buf);
+        buf[0]
     });
-    g.finish();
 
     // --- RF chain: fused per-sample loop vs the staged Vec pipeline. ---
     let scene = tone_dbm(2e6, 80e6, -45.0, rf_len);
@@ -163,16 +155,12 @@ fn main() {
             .all(|(a, b)| a.re == b.re && a.im == b.im);
     identical &= rf_ok;
 
-    let mut g = h.benchmark_group("rf_chain");
-    g.throughput(Throughput::Elements(rf_len as u64));
-    let rf_opt_s = g.bench_function("process_into", |b| {
-        b.iter(|| {
-            fused.process_into(&scene, &mut scratch, &mut y);
-            y.len()
-        })
+    let rf_opt_s = median_time("rf_chain/process_into", || {
+        fused.process_into(&scene, &mut scratch, &mut y);
+        y.len()
     });
-    let rf_ref_s = g.bench_function("process_staged", |b| {
-        b.iter(|| staged.process_staged(&scene).len())
+    let rf_ref_s = median_time("rf_chain/process_staged", || {
+        staged.process_staged(&scene).len()
     });
     // The same frame through the same chain with every noise source
     // off: what is left of `process_into` once noise generation is gone.
@@ -183,52 +171,10 @@ fn main() {
         },
         42,
     );
-    let rf_quiet_s = g.bench_function("process_into_noiseless", |b| {
-        b.iter(|| {
-            noiseless.process_into(&scene, &mut scratch, &mut y);
-            y.len()
-        })
+    let rf_quiet_s = median_time("rf_chain/process_into_noiseless", || {
+        noiseless.process_into(&scene, &mut scratch, &mut y);
+        y.len()
     });
-    g.finish();
-
-    // --- End-to-end link throughput (single thread). ---
-    let sim = LinkSimulation::new(link_workload(link_packets, &wlan_phy::IEEE_802_11A));
-    let first = sim.run();
-    let second = sim.run();
-    let link_ok = first.meter == second.meter
-        && first.decoded_packets == second.decoded_packets
-        && first.evm_db == second.evm_db;
-    identical &= link_ok;
-    let mut best_s = f64::INFINITY;
-    for _ in 0..link_runs {
-        let t0 = Instant::now();
-        let report = sim.run();
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(report.packets, link_packets);
-        best_s = best_s.min(dt);
-    }
-    let packets_per_s = link_packets as f64 / best_s;
-    let link_speedup = packets_per_s / BASELINE_PACKETS_PER_S;
-
-    // --- Per-profile link throughput (schema 3). The 802.11a entry
-    // reuses the gated figure above; the other numerologies get the
-    // same workload on their own grid.
-    let mut profile_pps: Vec<(&str, f64)> = vec![(wlan_phy::IEEE_802_11A.name, packets_per_s)];
-    for profile in wlan_phy::ALL_PROFILES {
-        if std::ptr::eq(profile, &wlan_phy::IEEE_802_11A) {
-            continue;
-        }
-        let sim = LinkSimulation::new(link_workload(link_packets, profile));
-        let mut best = f64::INFINITY;
-        for _ in 0..link_runs {
-            let t0 = Instant::now();
-            let report = sim.run();
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(report.packets, link_packets);
-            best = best.min(dt);
-        }
-        profile_pps.push((profile.name, link_packets as f64 / best));
-    }
 
     let vit_speedup = vit_ref_s / vit_opt_s.max(1e-12);
     let fft_speedup = fft_ref_s / fft_opt_s.max(1e-12);
@@ -241,25 +187,14 @@ fn main() {
         "rf_chain noise generation: {:.0}% of process_into",
         100.0 * rf_noise_share
     );
-    println!(
-        "link     {packets_per_s:.1} packets/s ({link_speedup:.2}x vs pre-PR \
-         {BASELINE_PACKETS_PER_S} packets/s), reproducible: {link_ok}"
-    );
-    for (name, pps) in &profile_pps {
-        println!("profile  {name}: {pps:.1} packets/s");
-    }
+    println!("identical: {identical}");
     if !identical {
         eprintln!("ERROR: an optimized kernel diverged from its reference");
     }
 
-    let profiles_json = profile_pps
-        .iter()
-        .map(|(name, pps)| format!("\"{name}\": {pps:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
         "{{\n  \"schema\": {KERNEL_JSON_SCHEMA},\n  \"bench\": \"kernels\",\n  \
-         \"smoke\": {smoke},\n  \"kernels\": {{\n    \
+         \"smoke\": {smoke},\n  \"samples\": {SAMPLES},\n  \"kernels\": {{\n    \
          \"viterbi_opt_ns\": {:.1},\n    \"viterbi_ref_ns\": {:.1},\n    \
          \"viterbi_speedup\": {vit_speedup:.4},\n    \
          \"fft64_opt_ns\": {:.1},\n    \"fft64_ref_ns\": {:.1},\n    \
@@ -267,12 +202,7 @@ fn main() {
          \"rf_chain_opt_ns\": {:.1},\n    \"rf_chain_ref_ns\": {:.1},\n    \
          \"rf_chain_speedup\": {rf_speedup:.4},\n    \
          \"rf_chain_noiseless_ns\": {:.1},\n    \
-         \"rf_noise_share\": {rf_noise_share:.4}\n  }},\n  \"link\": {{\n    \
-         \"packets\": {link_packets},\n    \"runs\": {link_runs},\n    \
-         \"packets_per_s\": {packets_per_s:.1},\n    \
-         \"baseline_packets_per_s\": {BASELINE_PACKETS_PER_S},\n    \
-         \"speedup\": {link_speedup:.4},\n    \
-         \"profiles\": {{{profiles_json}}}\n  }},\n  \
+         \"rf_noise_share\": {rf_noise_share:.4}\n  }},\n  \
          \"identical\": {identical}\n}}\n",
         vit_opt_s * 1e9,
         vit_ref_s * 1e9,

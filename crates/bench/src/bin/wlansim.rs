@@ -260,6 +260,7 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
     }
     for (name, v) in [
         ("--sessions", f.sessions),
+        ("--workers", f.workers),
         ("--chunk", f.chunk),
         ("--ring", f.ring),
         ("--packets", f.packets),
@@ -273,8 +274,7 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
 }
 
 /// The session mix `wlansim serve` admits: rate and SNR vary with the
-/// session index (same recipe as `serve_bench`, so the CLI exercises
-/// the exact workload the committed `BENCH_serve.json` measures).
+/// session index.
 fn serve_link(f: &ServeFlags, session: usize) -> LinkConfig {
     let rate = match session % 3 {
         0 => Rate::R24,
@@ -554,5 +554,26 @@ fn main() -> ExitCode {
             eprintln!("wlansim: unknown command '{other}'\n{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn serve_flags_reject_zero_workers() {
+        let err = parse_serve_flags(&args(&["--workers", "0"])).unwrap_err();
+        assert_eq!(err, "--workers must be at least 1");
+    }
+
+    #[test]
+    fn serve_flags_accept_positive_workers() {
+        let f = parse_serve_flags(&args(&["--sessions", "8", "--workers", "4"])).unwrap();
+        assert_eq!((f.sessions, f.workers), (8, 4));
     }
 }

@@ -4,7 +4,7 @@
 //! signal was shifted by 20 MHz in the frequency domain; the baseband
 //! signal was over-sampled to fulfill the sampling theorem").
 
-use crate::level::{set_power, set_power_in_place};
+use crate::level::set_power_in_place;
 use wlan_dsp::resample::{FrequencyShifter, Upsampler};
 use wlan_dsp::Complex;
 use wlan_units::{Dbm, Hz};
@@ -41,7 +41,6 @@ pub struct Scene {
     base_rate_hz: f64,
     osr: usize,
     emitters: Vec<Emitter>,
-    interp_taps: usize,
 }
 
 impl Scene {
@@ -58,7 +57,6 @@ impl Scene {
             base_rate_hz,
             osr,
             emitters: Vec::new(),
-            interp_taps: 32,
         }
     }
 
@@ -111,26 +109,14 @@ impl Scene {
         self
     }
 
-    /// Renders the composite scene at the oversampled rate. Output length
-    /// covers the longest emitter (including its delay).
+    /// Renders the composite scene at the oversampled rate: one fresh
+    /// [`SceneRenderer`] adds every emitter in insertion order. Output
+    /// length covers the longest emitter (including its delay).
     pub fn render(&self) -> Vec<Complex> {
-        let mut total_len = 0usize;
-        let mut parts: Vec<(usize, Vec<Complex>)> = Vec::new();
+        let mut renderer = SceneRenderer::new(self.base_rate_hz, self.osr);
+        let mut out = Vec::new();
         for e in &self.emitters {
-            // Upsample, scale to absolute power, then shift.
-            let mut up = Upsampler::new(self.osr, self.interp_taps);
-            let hi = up.process(&e.samples);
-            let scaled = set_power(&hi, e.power);
-            let mut shifter = FrequencyShifter::new(e.offset.0, self.sample_rate());
-            let shifted = shifter.process(&scaled);
-            total_len = total_len.max(e.delay + shifted.len());
-            parts.push((e.delay, shifted));
-        }
-        let mut out = vec![Complex::ZERO; total_len];
-        for (delay, sig) in parts {
-            for (i, v) in sig.into_iter().enumerate() {
-                out[delay + i] += v;
-            }
+            renderer.add_into(&e.samples, e.offset, e.power, e.delay, &mut out);
         }
         out
     }
@@ -140,10 +126,10 @@ impl Scene {
 /// emitters are rendered straight into a caller-owned accumulator, the
 /// interpolator and intermediate buffer are reused across emitters and
 /// packets (DESIGN §10 scratch-arena discipline), and sample slices are
-/// borrowed instead of copied. Per-emitter processing — fresh-state
-/// upsample, absolute power scale, frequency shift, delayed
-/// superposition — is bit-identical to [`Scene::render`] with the same
-/// emitters in the same order.
+/// borrowed instead of copied. Per-emitter processing is a fresh-state
+/// upsample, absolute power scale, frequency shift and delayed
+/// superposition; [`Scene::render`] is this renderer run once over its
+/// emitters.
 #[derive(Debug, Clone)]
 pub struct SceneRenderer {
     base_rate_hz: f64,
@@ -155,8 +141,7 @@ pub struct SceneRenderer {
 
 impl SceneRenderer {
     /// Creates a renderer at base rate `base_rate_hz` with oversampling
-    /// ratio `osr` (same interpolator length as [`Scene`]: 32 taps per
-    /// polyphase branch).
+    /// ratio `osr` (32 interpolator taps per polyphase branch).
     ///
     /// # Panics
     ///
@@ -186,8 +171,7 @@ impl SceneRenderer {
     /// composite scene; clear it before the first emitter of a packet).
     /// `out` grows with zero fill to `delay + osr·samples.len()` when
     /// the emitter extends past the current scene end — it is never
-    /// truncated, so emitter insertion order matches [`Scene::render`]'s
-    /// superposition exactly.
+    /// truncated, so the superposition depends only on emitter order.
     ///
     /// # Panics
     ///
@@ -207,8 +191,8 @@ impl SceneRenderer {
             offset,
             fs / 2.0
         );
-        // Fresh interpolator/oscillator state per emitter, like
-        // `Scene::render` constructing them anew.
+        // Fresh interpolator/oscillator state per emitter, so reuse
+        // across emitters and packets is bit-identical to a new renderer.
         self.up.reset();
         self.up.process_into(samples, &mut self.hi);
         set_power_in_place(&mut self.hi, power);
@@ -292,8 +276,9 @@ mod tests {
     #[test]
     fn renderer_matches_scene_bit_exact() {
         // Two emitters with distinct offsets, powers and delays; the
-        // reused renderer must reproduce the allocating builder bit for
-        // bit, including across repeated renders (state reset check).
+        // reused renderer must reproduce the allocating builder (a fresh
+        // renderer) bit for bit across repeated renders (state reset
+        // check).
         let a = noise_burst(700, 6);
         let b = noise_burst(300, 7);
         let want = Scene::new(20e6, 4)

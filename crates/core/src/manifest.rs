@@ -1,8 +1,7 @@
-//! The schema-versioned JSON **run manifest** `wlansim` writes next to
-//! the `BENCH_*.json` files: one record per executed experiment with
-//! per-point wall time (the same figures
-//! `wlan_bench::harness::report_point_timing` prints), packets
-//! simulated, early-stop decisions and the engine's thread count.
+//! The schema-versioned JSON **run manifest** `wlansim` writes: one
+//! record per executed experiment with per-point wall time (the same
+//! figures `wlansim run` prints per sweep point), packets simulated,
+//! early-stop decisions and the engine's thread count.
 //!
 //! The workspace builds offline with no external crates, so the writer
 //! emits its JSON by hand (the same approach as `BENCH_kernels.json`);
@@ -23,7 +22,7 @@ pub const MANIFEST_SCHEMA: u32 = 2;
 pub const MANIFEST_TOOL: &str = "wlansim";
 
 /// Default file name, written into the working directory (the repo
-/// root in CI) next to `BENCH_kernels.json` / `BENCH_serve.json`.
+/// root in CI) next to `BENCH_kernels.json`.
 pub const MANIFEST_DEFAULT_PATH: &str = "RUN_MANIFEST.json";
 
 /// A complete run manifest: the telemetry of every experiment executed

@@ -22,8 +22,7 @@
 //!    front-end state, the chunk-result ring, the scheduler queues
 //!    and the latency log (sized by the admission-time packet budget).
 //!    Steady-state serving performs zero heap allocations — proved by
-//!    the counting-allocator cases in `zero_alloc.rs` and the
-//!    `steady_state_allocs` flag of `BENCH_serve.json`.
+//!    the counting-allocator cases in `zero_alloc.rs`.
 //! 3. **Explicit backpressure.** Admission beyond
 //!    [`ServeConfig::max_sessions`] *live* sessions is rejected
 //!    ([`AdmitError`]) — a session that has served its whole admission

@@ -98,9 +98,10 @@ fn density_at(freqs: &[f64], psd: &[f64], f0: f64) -> f64 {
 fn flicker_psd_slope_is_ten_db_per_decade() {
     let (fs, corner) = (64e6, 1e6);
     let nfft = 1 << 18;
+    let segments = 16;
     let mut f = FlickerNoise::new(1e-6, corner, fs, Rng::new(11));
-    let mut x = Vec::with_capacity(16 * nfft / 2 + nfft);
-    stream_flicker(&mut f, corner, fs, 16 * nfft / 2 + nfft / 2, |c| {
+    let mut x = Vec::with_capacity(segments * nfft / 2 + nfft);
+    stream_flicker(&mut f, corner, fs, segments * nfft / 2 + nfft / 2, |c| {
         x.extend_from_slice(c)
     });
     let (freqs, psd) = welch_psd(&x, nfft, fs);
@@ -347,8 +348,8 @@ fn rf_link(rate: Rate, rx_level_dbm: f64, rf: RfConfig, adjacent: bool) -> LinkC
         seed: 41,
         rx_level_dbm,
         adjacent: adjacent.then_some(AdjacentChannel {
-            offset_hz: 20e6,
             rel_db: 6.0,
+            ..AdjacentChannel::first()
         }),
         front_end: FrontEnd::RfBaseband(rf),
         ..LinkConfig::default()
