@@ -37,6 +37,21 @@ pub trait AnalogDevice: Send {
         }
     }
 
+    /// Whether the output depends on the current input alone: no state,
+    /// no `dt` dependence. A held input then gives the same output on
+    /// every sub-step, so the co-simulation bridge runs a leading run of
+    /// memoryless devices once per system sample, before the ZOH
+    /// expansion. Only a device that is a pure function of its input
+    /// may return `true`.
+    fn memoryless(&self) -> bool {
+        false
+    }
+
+    /// Continuous state variables the solver advances per sub-step.
+    fn state_count(&self) -> usize {
+        0
+    }
+
     /// Resets internal state.
     fn reset(&mut self);
 }
@@ -74,6 +89,9 @@ impl AnalogDevice for AnalogAmplifier {
         for v in buf.iter_mut() {
             *v = nl.apply(*v);
         }
+    }
+    fn memoryless(&self) -> bool {
+        true
     }
     fn reset(&mut self) {}
 }
@@ -114,6 +132,9 @@ impl AnalogDevice for AnalogMixer {
             *v = *v * a1 + dc;
         }
     }
+    fn memoryless(&self) -> bool {
+        true
+    }
     fn reset(&mut self) {}
 }
 
@@ -147,11 +168,6 @@ impl AnalogFilterDevice {
             filter: StateSpaceFilter::from_analog(&af),
         }
     }
-
-    /// Number of continuous states.
-    pub fn state_count(&self) -> usize {
-        self.filter.state_count()
-    }
 }
 
 impl AnalogDevice for AnalogFilterDevice {
@@ -160,6 +176,12 @@ impl AnalogDevice for AnalogFilterDevice {
     }
     fn step(&mut self, u: Complex, dt: f64) -> Complex {
         self.filter.step(u, dt)
+    }
+    fn step_block(&mut self, buf: &mut [Complex], dt: f64) {
+        self.filter.step_block(buf, dt);
+    }
+    fn state_count(&self) -> usize {
+        self.filter.state_count()
     }
     fn reset(&mut self) {
         self.filter.reset();
@@ -277,6 +299,10 @@ impl AnalogDevice for AnalogAgc {
         // Clamp to a physical gain range (±60 dB).
         self.log_gain = self.log_gain.clamp(-6.9, 6.9);
         y
+    }
+    fn state_count(&self) -> usize {
+        // Detector power and loop log-gain.
+        2
     }
     fn reset(&mut self) {
         self.power_est = self.target_power;

@@ -140,6 +140,26 @@ mod tests {
     }
 
     #[test]
+    fn memoryless_flags_per_model() {
+        // (netlist line, memoryless, continuous states) for every model.
+        let cases = [
+            ("d lna rf out gain=15 p1db=-5", true, 0),
+            ("d amp rf out gain=0 iip3=-10", true, 0),
+            ("d amp rf out gain=3", true, 0),
+            ("d mixer rf out gain=6 dc=-45", true, 0),
+            ("d hpf rf out fc=150k order=2", false, 2),
+            ("d cheb_lp rf out edge=10M order=5", false, 5),
+            ("d agc rf out", false, 2),
+        ];
+        for (line, memoryless, states) in cases {
+            let n = Netlist::parse(&format!("{line}\n")).unwrap();
+            let d = elaborate(&n, "rf", "out").unwrap();
+            assert_eq!(d[0].memoryless(), memoryless, "{line}");
+            assert_eq!(d[0].state_count(), states, "{line}");
+        }
+    }
+
+    #[test]
     fn unknown_model_rejected() {
         let n = Netlist::parse("x warp rf out flux=1\n").unwrap();
         assert!(matches!(

@@ -5,6 +5,10 @@
 //! Verilog-AMS-flavored instance list), elaborated into a cascade of
 //! continuous-time behavioral device models, and integrated with a
 //! fixed-step RK4 solver at a rate well above the system sample rate.
+//! Each linear section applies its RK4 step as a cached transition
+//! matrix (`x ← Φ·x + Γ·u`, exact for a held input), filters run
+//! section-major over blocks, and the memoryless devices at the head of
+//! the chain run once per system sample instead of once per sub-step.
 //! The [`cosim`] bridge exchanges sample frames with the (discrete-time)
 //! dataflow world, exactly like the SPW ↔ AMS co-simulation of §4.3 —
 //! including its two headline observations:
@@ -12,7 +16,8 @@
 //! 1. **Runtime**: the analog engine integrates each 80 Msps sample with
 //!    `osr` RK4 sub-steps across every filter state, so co-simulation is
 //!    structurally much slower than the pure system-level run (paper
-//!    Table 2: 30–40×).
+//!    Table 2: 30–40×). The cost is counted exactly
+//!    ([`CosimReceiver::steps_taken`], [`CosimReceiver::state_count`]).
 //! 2. **Noise gap**: like the paper's AMS Designer ("does not support
 //!    some functions for generating noise (`white_noise`,
 //!    `flicker_noise`)"), the analog devices default to *noiseless*
@@ -20,7 +25,8 @@
 //!    optimistic relative to the system-level simulation (§5.1).
 //!
 //! * [`netlist`] — parser for the behavioral netlist format
-//! * [`solver`] — continuous-time state-space integration (RK4)
+//! * [`solver`] — continuous-time state-space integration (RK4 as a
+//!   transition matrix)
 //! * [`devices`] — behavioral device library (amp, mixer, filters, …)
 //! * [`elaborate`] — netlist → device cascade
 //! * [`cosim`] — the DSP-rate ↔ analog-rate bridge and the co-simulated

@@ -2,58 +2,106 @@
 //! (SPW-style baseband) run versus the mixed-signal co-simulation, for a
 //! growing number of OFDM packets.
 //!
-//! The paper reports the co-simulation 30–40× slower; the exact ratio is
-//! host-dependent, but it is structural (the analog engine RK4-integrates
-//! every filter state at `analog_osr` sub-steps per RF sample), so the
-//! ratio is far above 1 on any machine.
+//! The paper reports the co-simulation 30–40× slower and puts the cost
+//! on the analog solver's fine timestep (§5.3). That cost is reported
+//! here structurally, as exact counts: per packet, both front ends see
+//! the same baseband samples, and the co-simulation takes `analog_osr`
+//! solver sub-steps per sample, each advancing every continuous state of
+//! the analog netlist. The wall-clock ratio is kept as a secondary,
+//! host-dependent column: it measures this solver on this machine, not
+//! the paper's claim.
 
 use crate::experiments::{Engine, Experiment, PointStat, RunContext, RunOutput};
 use crate::link::{FrontEnd, LinkConfig};
 use crate::report::Table;
 use std::time::Duration;
+use wlan_ams::CosimReceiver;
 use wlan_phy::Rate;
 use wlan_rf::receiver::RfConfig;
 
-/// One row of the timing comparison.
+/// Channel-filter edge of the co-simulated receiver.
+const COSIM_EDGE_HZ: f64 = 10e6;
+
+/// One row of the comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingRow {
     /// OFDM packets simulated.
     pub packets: usize,
-    /// System-level (baseband) wall time.
+    /// Baseband (system-rate) samples per packet, the same for both
+    /// front ends.
+    pub samples_per_packet: usize,
+    /// Analog solver sub-steps of the co-simulation over all packets
+    /// ([`crate::LinkReport::analog_steps`]).
+    pub analog_steps: u64,
+    /// System-level (baseband) wall time on this host.
     pub baseband: Duration,
-    /// Co-simulation wall time.
+    /// Co-simulation wall time on this host.
     pub cosim: Duration,
 }
 
 impl TimingRow {
-    /// Slowdown factor of the co-simulation.
+    /// Analog sub-steps per packet.
+    pub fn steps_per_packet(&self) -> u64 {
+        self.analog_steps / self.packets as u64
+    }
+
+    /// Host wall-clock slowdown of the co-simulation (secondary: it
+    /// depends on the machine and on the solver's implementation).
     pub fn ratio(&self) -> f64 {
         self.cosim.as_secs_f64() / self.baseband.as_secs_f64().max(1e-9)
     }
 }
 
-/// The timing comparison result.
+/// The comparison result.
 #[derive(Debug, Clone)]
 pub struct Table2Result {
     /// Rows in ascending packet count.
     pub rows: Vec<TimingRow>,
     /// Analog sub-steps per RF sample used for the co-simulation.
     pub analog_osr: usize,
+    /// Continuous states the co-simulation advances on every sub-step.
+    pub state_count: usize,
 }
 
 impl Table2Result {
-    /// Renders the comparison (paper Table 2 format plus the ratio).
+    /// State updates per packet of `row`: sub-steps × states.
+    pub fn updates_per_packet(&self, row: &TimingRow) -> u64 {
+        row.steps_per_packet() * self.state_count as u64
+    }
+
+    /// State updates per baseband sample of `row`; `analog_osr ×
+    /// state_count` when every sample got its sub-steps.
+    pub fn updates_per_sample(&self, row: &TimingRow) -> f64 {
+        self.updates_per_packet(row) as f64 / row.samples_per_packet as f64
+    }
+
+    /// Renders the comparison: the structural cost first, then the host
+    /// wall clock.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             format!(
-                "Table 2: simulation time, system-level vs co-simulation (analog osr {})",
-                self.analog_osr
+                "Table 2: simulation cost, system-level vs co-simulation \
+                 (analog osr {}, {} analog states)",
+                self.analog_osr, self.state_count
             ),
-            &["OFDM packets", "baseband [ms]", "co-sim [ms]", "ratio"],
+            &[
+                "OFDM packets",
+                "baseband samples/pkt",
+                "analog sub-steps/pkt",
+                "state updates/pkt",
+                "updates/sample",
+                "host wall: baseband [ms]",
+                "host wall: co-sim [ms]",
+                "host wall ratio",
+            ],
         );
         for r in &self.rows {
             t.push_row(vec![
                 r.packets.to_string(),
+                r.samples_per_packet.to_string(),
+                r.steps_per_packet().to_string(),
+                self.updates_per_packet(r).to_string(),
+                format!("{:.0}", self.updates_per_sample(r)),
                 format!("{:.1}", r.baseband.as_secs_f64() * 1e3),
                 format!("{:.1}", r.cosim.as_secs_f64() * 1e3),
                 format!("{:.1}x", r.ratio()),
@@ -63,9 +111,10 @@ impl Table2Result {
     }
 }
 
-/// Registry entry: the Table 2 timing comparison. Wall-clock numbers
-/// are host-dependent, so the snapshot only records the structural
-/// quantities (packet counts and osr), not the timings.
+/// Registry entry: the Table 2 comparison. Wall-clock numbers are
+/// host-dependent, so the snapshot only records the structural
+/// quantities (packet counts, osr, states, samples, sub-steps and state
+/// updates), not the timings.
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Timing {
     /// Packet counts to time.
@@ -115,9 +164,24 @@ impl Experiment for Table2Timing {
         let mut snapshot = vec![
             ("n_rows".to_string(), r.rows.len() as f64),
             ("analog_osr".to_string(), r.analog_osr as f64),
+            ("state_count".to_string(), r.state_count as f64),
         ];
         for (i, row) in r.rows.iter().enumerate() {
-            snapshot.push((format!("rows[{i:02}].packets"), row.packets as f64));
+            snapshot.extend([
+                (format!("rows[{i:02}].packets"), row.packets as f64),
+                (
+                    format!("rows[{i:02}].samples_per_packet"),
+                    row.samples_per_packet as f64,
+                ),
+                (
+                    format!("rows[{i:02}].steps_per_packet"),
+                    row.steps_per_packet() as f64,
+                ),
+                (
+                    format!("rows[{i:02}].updates_per_sample"),
+                    r.updates_per_sample(row),
+                ),
+            ]);
         }
         RunOutput {
             tables: vec![r.table()],
@@ -133,7 +197,10 @@ impl Experiment for Table2Timing {
                 .collect(),
             ..RunOutput::default()
         }
-        .with_note("paper reports 30-40x; the exact ratio is host-dependent")
+        .with_note(
+            "paper reports 30-40x wall clock; the structural cost is the \
+             state updates per baseband sample, the host wall ratio is secondary",
+        )
     }
 }
 
@@ -151,10 +218,10 @@ fn mode_config(front_end: FrontEnd, packets: usize, psdu_len: usize, seed: u64) 
 
 /// Runs the comparison for the given packet counts.
 ///
-/// `analog_osr` sets the co-simulation's sub-step count (the paper's
-/// ratio regime is reached around 16–32). Each timed run is one
-/// [`Engine::measure`] call, so its frames run on one worker and the
-/// table reports single-simulator time, as the paper's Table 2 does.
+/// `analog_osr` sets the co-simulation's sub-step count. Each timed run
+/// is one [`Engine::measure`] call, so its frames run on one worker and
+/// the wall-clock columns report single-simulator time, as the paper's
+/// Table 2 does.
 pub fn run(
     packet_counts: &[usize],
     psdu_len: usize,
@@ -162,6 +229,20 @@ pub fn run(
     seed: u64,
     engine: &Engine,
 ) -> Table2Result {
+    let cosim = FrontEnd::RfCosim {
+        filter_edge_hz: COSIM_EDGE_HZ,
+        analog_osr,
+        noise_workaround: false,
+    };
+    let probe = mode_config(cosim.clone(), 1, psdu_len, seed);
+    let state_count = CosimReceiver::with_filter_edge(
+        COSIM_EDGE_HZ,
+        probe.profile.sample_rate * probe.osr as f64,
+        analog_osr,
+        probe.osr,
+    )
+    .expect("built-in netlist elaborates")
+    .state_count();
     let rows = packet_counts
         .iter()
         .map(|&packets| {
@@ -169,23 +250,24 @@ pub fn run(
                 noise_enabled: false, // match the noiseless co-sim
                 ..RfConfig::default()
             };
-            let time = |front_end| {
-                engine
-                    .measure(mode_config(front_end, packets, psdu_len, seed), 0)
-                    .elapsed
-            };
+            let baseband = mode_config(FrontEnd::RfBaseband(cfg), packets, psdu_len, seed);
+            let samples_per_packet = baseband.scene_len();
+            let baseband = engine.measure(baseband, 0).elapsed;
+            let co = engine.measure(mode_config(cosim.clone(), packets, psdu_len, seed), 0);
             TimingRow {
                 packets,
-                baseband: time(FrontEnd::RfBaseband(cfg)),
-                cosim: time(FrontEnd::RfCosim {
-                    filter_edge_hz: 10e6,
-                    analog_osr,
-                    noise_workaround: false,
-                }),
+                samples_per_packet,
+                analog_steps: co.analog_steps,
+                baseband,
+                cosim: co.elapsed,
             }
         })
         .collect();
-    Table2Result { rows, analog_osr }
+    Table2Result {
+        rows,
+        analog_osr,
+        state_count,
+    }
 }
 
 #[cfg(test)]
@@ -196,10 +278,17 @@ mod tests {
 
     #[test]
     fn cosim_is_much_slower() {
+        // The slowdown is structural and counted exactly: every baseband
+        // sample takes `analog_osr` solver sub-steps, each advancing all
+        // seven analog states (2nd-order HPF, 5th-order channel filter).
         let r = run(&[1], 60, 16, 1, &Engine::reference());
         assert_eq!(r.rows.len(), 1);
-        let ratio = r.rows[0].ratio();
-        assert!(ratio > 3.0, "co-sim only {ratio:.1}x slower");
+        let row = r.rows[0];
+        let cfg = mode_config(FrontEnd::Ideal, 1, 60, 1);
+        assert_eq!(row.samples_per_packet, cfg.scene_len());
+        assert_eq!(row.analog_steps, 16 * cfg.scene_len() as u64);
+        assert_eq!(r.state_count, 7);
+        assert_eq!(r.updates_per_sample(&row), (16 * 7) as f64);
     }
 
     #[test]
@@ -239,6 +328,10 @@ mod tests {
         assert_eq!(r.analog_osr, 4);
         assert_eq!(r.rows[0].packets, 1);
         assert_eq!(r.rows[1].packets, 2);
-        assert!(r.rows.iter().all(|row| row.ratio() > 1.0));
+        for row in &r.rows {
+            let substeps = 4 * row.packets * row.samples_per_packet;
+            assert_eq!(row.analog_steps, substeps as u64);
+            assert_eq!(r.updates_per_sample(row), (4 * r.state_count) as f64);
+        }
     }
 }

@@ -109,6 +109,23 @@ pub struct LinkConfig {
     pub osr: usize,
 }
 
+/// Zero samples appended to the wanted burst before the scene renders
+/// it: the front-end filters delay the burst by tens of samples, and
+/// without tail room the last OFDM symbols would fall off the end of the
+/// processed buffer.
+const SCENE_TAIL_PAD: usize = 160;
+
+impl LinkConfig {
+    /// System-rate samples per packet that an RF front end processes:
+    /// the wanted burst and its tail pad, upsampled by `osr`, behind the
+    /// renderer's one-FFT-length delay. The adjacent channel is shorter
+    /// and never extends the scene.
+    pub fn scene_len(&self) -> usize {
+        let burst = self.profile.burst_len(self.rate, self.psdu_len);
+        (self.profile.fft_size + burst + SCENE_TAIL_PAD) * self.osr
+    }
+}
+
 impl Default for LinkConfig {
     fn default() -> Self {
         LinkConfig {
@@ -142,6 +159,10 @@ pub struct LinkReport {
     pub evm_db: Option<f64>,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
+    /// Analog solver sub-steps the co-simulation front end took
+    /// ([`CosimReceiver::steps_taken`] summed over shards); 0 for the
+    /// other front ends.
+    pub analog_steps: u64,
 }
 
 impl LinkReport {
@@ -160,6 +181,7 @@ impl LinkReport {
                 None
             },
             elapsed,
+            analog_steps: acc.analog_steps,
         }
     }
 
@@ -206,7 +228,7 @@ struct PacketScratch {
     rf_out: Vec<Complex>,
     /// Adjacent-channel interferer payload.
     adj_psdu: Vec<u8>,
-    /// Wanted burst plus the 160-sample trailing pad for the scene.
+    /// Wanted burst plus the [`SCENE_TAIL_PAD`] trailing zeros.
     padded: Vec<Complex>,
     /// Multipath convolution output (swapped back into `burst`).
     faded: Vec<Complex>,
@@ -276,6 +298,9 @@ pub struct ShardReport {
     pub evm_packets: usize,
     /// Frames simulated.
     pub packets: usize,
+    /// Analog solver sub-steps of the shard's co-simulation front end
+    /// (0 for the other front ends).
+    pub analog_steps: u64,
 }
 
 impl ShardReport {
@@ -296,6 +321,9 @@ impl ShardReport {
             PacketOutcome::Lost => self.meter.update_lost_packet(8 * sent.len()),
         }
         self.packets += 1;
+        // The co-simulation receiver is built with the shard (or the
+        // session), so its running count is the shard's.
+        self.analog_steps = fe.cosim.as_ref().map_or(0, CosimReceiver::steps_taken);
     }
 }
 
@@ -310,6 +338,7 @@ impl McAccumulator for ShardReport {
         self.evm_sum_db += other.evm_sum_db;
         self.evm_packets += other.evm_packets;
         self.packets += other.packets;
+        self.analog_steps += other.analog_steps;
     }
 }
 
@@ -570,13 +599,10 @@ impl LinkSimulation {
         adj_burst: &mut Vec<Complex>,
         out: &mut Vec<Complex>,
     ) {
-        // Trailing pad: the front-end filters delay the burst by tens of
-        // samples; without tail room the last OFDM symbols would fall off
-        // the end of the processed buffer.
         padded.clear();
-        padded.reserve(wanted.len() + 160);
+        padded.reserve(wanted.len() + SCENE_TAIL_PAD);
         padded.extend_from_slice(wanted);
-        padded.extend(std::iter::repeat_n(Complex::ZERO, 160));
+        padded.extend(std::iter::repeat_n(Complex::ZERO, SCENE_TAIL_PAD));
         out.clear();
         renderer.add_into(
             padded,
@@ -802,6 +828,62 @@ mod tests {
             ..LinkConfig::default()
         });
         assert_eq!(r.ber(), 0.0, "decoded {}", r.decoded_packets);
+    }
+
+    #[test]
+    fn scene_len_matches_rendered_scene() {
+        let cases = [
+            (None, Rate::R24, 100, 4),
+            (Some(AdjacentChannel::first()), Rate::R24, 100, 4),
+            (Some(AdjacentChannel::alternate()), Rate::R6, 37, 8),
+        ];
+        for (adjacent, rate, psdu_len, osr) in cases {
+            let cfg = LinkConfig {
+                rate,
+                psdu_len,
+                osr,
+                adjacent,
+                front_end: FrontEnd::RfBaseband(RfConfig::default()),
+                ..LinkConfig::default()
+            };
+            let sim = LinkSimulation::new(cfg.clone());
+            let mut fe = sim.front_end_state(1);
+            let rx = Receiver::with_profile(cfg.profile);
+            sim.sim_packet(0, &mut Rng::new(1), &mut fe, &rx);
+            assert_eq!(fe.scratch.scene.len(), cfg.scene_len(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn analog_steps_count_every_sub_step() {
+        let analog_osr = 4;
+        let cfg = LinkConfig {
+            packets: 3,
+            rx_level_dbm: -50.0,
+            front_end: FrontEnd::RfCosim {
+                filter_edge_hz: 10e6,
+                analog_osr,
+                noise_workaround: false,
+            },
+            ..LinkConfig::default()
+        };
+        let want = (analog_osr * cfg.packets * cfg.scene_len()) as u64;
+        let sim = LinkSimulation::new(cfg.clone());
+        assert_eq!(sim.run().analog_steps, want);
+        // Shards each count their own receiver; the merge sums them.
+        let mc = McRun::default();
+        assert_eq!(
+            sim.run_parallel(&ThreadPool::new(2), &mc).analog_steps,
+            want
+        );
+        for front_end in [FrontEnd::Ideal, FrontEnd::RfBaseband(RfConfig::default())] {
+            let r = quick(LinkConfig {
+                packets: 1,
+                front_end,
+                ..cfg.clone()
+            });
+            assert_eq!(r.analog_steps, 0);
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ fn fig6_smoke() {
 #[test]
 fn table2_smoke() {
     let r = table2::run(&[1], 40, 4, 4, &Engine::reference());
-    assert!(r.rows[0].ratio() > 1.0);
+    let row = r.rows[0];
+    assert_eq!(row.analog_steps, 4 * row.samples_per_packet as u64);
+    assert!(r.state_count > 0);
+    assert_eq!(r.updates_per_sample(&row), (4 * r.state_count) as f64);
 }
 
 #[test]

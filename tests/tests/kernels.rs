@@ -225,8 +225,28 @@ fn rf_chain_matches_staged_reference_across_frames() {
 
 /// Mixed-signal co-simulation: the chunked device-major block path
 /// equals the sample-by-sample loop bit for bit across device configs
-/// (default netlist, narrowed filter edge, analog osr down to 1) and an
-/// input length that straddles chunk boundaries.
+/// (default netlist at analog osr 16 down to 1, narrowed filter edge)
+/// and an input length that straddles chunk boundaries. Two netlists
+/// probe the memoryless head the block path runs at the system rate:
+/// one starts with a stateful AGC (empty head), one has an amplifier
+/// after a filter (the head stops at the first stateful device).
+/// A stateful device first: no memoryless head to hoist.
+const AGC_FIRST: &str = "\
+agc1 agc     rf  n1
+lna1 lna     n1  n2  gain=15 p1db=-5
+mix1 mixer   n2  n3  gain=8
+lpf1 cheb_lp n3  out order=5 ripple=0.5 edge=10M
+";
+
+/// The head is `lna1` alone; `amp2` follows a filter and stays at the
+/// sub-step rate.
+const AMP_AFTER_FILTER: &str = "\
+lna1 lna     rf  n1  gain=15 p1db=-5
+hpf1 hpf     n1  n2  fc=150k order=2
+amp2 amp     n2  n3  gain=6 p1db=0
+lpf1 cheb_lp n3  out order=5 ripple=0.5 edge=8M
+";
+
 #[test]
 fn cosim_block_path_matches_sample_by_sample() {
     let mut rng = Rng::new(0xc0);
@@ -243,8 +263,20 @@ fn cosim_block_path_matches_sample_by_sample() {
             Box::new(|| CosimReceiver::new(80e6, 1, 4).unwrap()),
         ),
         (
+            "default osr=16",
+            Box::new(|| CosimReceiver::new(80e6, 16, 4).unwrap()),
+        ),
+        (
             "narrow filter osr=3",
             Box::new(|| CosimReceiver::with_filter_edge(6e6, 80e6, 3, 4).unwrap()),
+        ),
+        (
+            "agc first osr=4",
+            Box::new(|| CosimReceiver::from_netlist(AGC_FIRST, 80e6, 4, 4).unwrap()),
+        ),
+        (
+            "amp after filter osr=4",
+            Box::new(|| CosimReceiver::from_netlist(AMP_AFTER_FILTER, 80e6, 4, 4).unwrap()),
         ),
     ];
     for (name, build) in &builders {
