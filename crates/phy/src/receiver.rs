@@ -658,6 +658,113 @@ mod tests {
         }
     }
 
+    /// Capacity of every growable [`RxScratch`] buffer: the five sync
+    /// buffers (sized by the first call) first, then the decode buffers
+    /// that [`RxScratch::reserve_worst_case`] sizes, Viterbi decisions
+    /// included.
+    fn capacities(s: &RxScratch) -> [usize; 12] {
+        [
+            s.p.capacity(),
+            s.r.capacity(),
+            s.xcorr.capacity(),
+            s.coarse.capacity(),
+            s.corrected.capacity(),
+            s.llrs.capacity(),
+            s.sym_llrs.capacity(),
+            s.full.capacity(),
+            s.viterbi.decision_capacity(),
+            s.decoded.capacity(),
+            s.psdu.capacity(),
+            s.equalized.capacity(),
+        ]
+    }
+
+    /// Rewrites the SIGNAL symbol of `burst` (samples 320..400) from
+    /// 24 SIGNAL bits with the bits in `flips` inverted: parity errors,
+    /// invalid rate patterns and wrong but self-consistent lengths.
+    fn flip_signal_bits(burst: &mut [Complex], rate: Rate, len: usize, flips: &[usize]) {
+        use crate::signal_field::{modulate_signal_bits, signal_bits};
+        let mut bits = signal_bits(rate, len);
+        for &i in flips {
+            bits[i] ^= 1;
+        }
+        burst[320..400].copy_from_slice(&modulate_signal_bits(&Ofdm::new(), &bits));
+    }
+
+    /// Seeded mutation fuzz of the receive path: 300 valid R6–R54
+    /// packets, each truncated, given SIGNAL bit flips, or with spans
+    /// zeroed or scaled (by 1e-6 up to 1e200). Every receive must
+    /// return `Ok` or an `RxError` — never panic — and, once
+    /// [`RxScratch::reserve_worst_case`] has run and the sync buffers
+    /// have seen the longest waveform, no scratch buffer may grow.
+    #[test]
+    fn mutation_fuzz_never_panics_or_grows_scratch() {
+        let mut rng = Rng::new(0xf022);
+        let cases: Vec<(Rate, Vec<Complex>)> = (0..300)
+            .map(|case| {
+                let rate = ALL_RATES[case % ALL_RATES.len()];
+                let mut psdu = vec![0u8; 1 + rng.below(120) as usize];
+                rng.bytes(&mut psdu);
+                let mut burst = Transmitter::new(rate).transmit(&psdu).samples;
+                if rng.below(3) == 0 {
+                    let flips: Vec<usize> = (0..1 + rng.below(4))
+                        .map(|_| rng.below(24) as usize)
+                        .collect();
+                    flip_signal_bits(&mut burst, rate, psdu.len(), &flips);
+                }
+                let (snr, seed) = (rng.uniform_range(5.0, 40.0), rng.next_u64());
+                (
+                    rate,
+                    impaired(&burst, 64 + rng.below(200) as usize, 0.0, snr, seed),
+                )
+            })
+            .collect();
+
+        let rx = Receiver::new();
+        let mut scratch = RxScratch::default();
+        scratch.reserve_worst_case();
+        let reserved = capacities(&scratch);
+        let longest = cases.iter().map(|(_, x)| x).max_by_key(|x| x.len());
+        let _ = rx.receive_into(longest.expect("cases"), &mut scratch);
+        let warmed = capacities(&scratch);
+        assert_eq!(
+            warmed[5..],
+            reserved[5..],
+            "decode buffers outgrew reserve_worst_case"
+        );
+
+        let mut outcomes = [0usize; 2];
+        for (case, (rate, mut x)) in cases.into_iter().enumerate() {
+            let n = x.len();
+            match rng.below(3) {
+                0 => x.truncate(rng.below(n as u64) as usize),
+                kind => {
+                    let start = rng.below(n as u64) as usize;
+                    let end = (start + 1 + rng.below(600) as usize).min(n);
+                    let gain = match kind {
+                        1 => 0.0,
+                        _ if rng.below(4) == 0 => 10f64.powf(rng.uniform_range(6.0, 200.0)),
+                        _ => 10f64.powf(rng.uniform_range(-6.0, 6.0)),
+                    };
+                    x[start..end].iter_mut().for_each(|v| *v *= gain);
+                }
+            }
+            let outcome = rx.receive_into(&x, &mut scratch);
+            outcomes[outcome.is_ok() as usize] += 1;
+            assert_eq!(
+                capacities(&scratch),
+                warmed,
+                "case {case} ({rate:?}, {} samples) grew a scratch buffer: {outcome:?}",
+                x.len()
+            );
+        }
+        // The mutations must exercise both outcomes.
+        assert!(
+            outcomes[0] > 0 && outcomes[1] > 0,
+            "ok/err split {outcomes:?}"
+        );
+    }
+
     #[test]
     fn snr_estimate_reported() {
         let mut rng = Rng::new(12);

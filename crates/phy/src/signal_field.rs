@@ -93,8 +93,12 @@ pub fn parse_signal_bits(bits: &[u8; 24]) -> Result<SignalField, SignalError> {
 /// Modulates the SIGNAL field into one 80-sample OFDM symbol
 /// (symbol index 0 for the pilot polarity).
 pub fn modulate_signal(ofdm: &Ofdm, rate: Rate, length: usize) -> Vec<Complex> {
-    let bits = signal_bits(rate, length);
-    let coded = encode(&bits);
+    modulate_signal_bits(ofdm, &signal_bits(rate, length))
+}
+
+/// [`modulate_signal`] from 24 given SIGNAL bits, valid or not.
+pub(crate) fn modulate_signal_bits(ofdm: &Ofdm, bits: &[u8; 24]) -> Vec<Complex> {
+    let coded = encode(bits);
     let il = Interleaver::with_params(48, 1);
     let interleaved = il.interleave(&coded);
     let data = map_bits(&interleaved, Modulation::Bpsk);

@@ -1,20 +1,23 @@
 //! Viterbi decoder for the 802.11a (133, 171) convolutional code.
 //!
-//! Supports soft-decision decoding from log-likelihood ratios (the
-//! receiver's normal path, with zero-LLR erasures for punctured bits) and
-//! hard-decision decoding from bits.
+//! Decodes soft log-likelihood ratios (the receiver's path, with
+//! zero-LLR erasures for punctured bits). A reusable [`ViterbiDecoder`]
+//! holds two `[f64; 64]` path-metric buffers and a growable decision
+//! buffer, so the per-packet hot path performs no heap allocation after
+//! the first call.
 //!
-//! The kernel is organized as a reusable [`ViterbiDecoder`] holding
-//! fixed-size `[f64; 64]` metric arrays and a growable decision buffer,
-//! so the per-packet hot path performs no heap allocation after the
-//! first call. The add-compare-select loop runs in butterfly form over
-//! next-states (each state has exactly two predecessors, `ns >> 1` and
-//! `(ns >> 1) | 32`), with the per-branch LLR signs precomputed into a
-//! table at construction. The classic `INF` sentinel for unreachable
-//! states is only needed during the first six warm-up steps — after
-//! `t ≥ 6` trellis steps every state is reachable (the state is the
-//! last six input bits), so the steady-state loop carries no sentinel
-//! scan at all.
+//! Each trellis step is one add-compare-select (ACS) pass in butterfly
+//! form: butterfly `j` reads the predecessor pair `j`, `j + 32` (states
+//! that differ only in the oldest bit) and writes next states `2j`
+//! (input 0) and `2j + 1` (input 1). Both generators tap the newest and
+//! the oldest bit, so one sign pair `(sa[j], sb[j])` gives all four
+//! branch costs by exact sign flips. Steps ping-pong between the two
+//! metric buffers, two per loop iteration, so no step copies metrics. A
+//! step's decision word holds even next states' survivor bits in its
+//! low 32 bits and odd ones' in its high 32 (state `s` at bit
+//! `((s & 1) << 5) | (s >> 1)`), built four butterflies at a time so the
+//! pass vectorises. Only the six warm-up steps need the `INF` sentinel
+//! for unreachable states (the state is the last six input bits).
 //!
 //! The decision arithmetic — `(metric + (±la)) + (±lb)` with the
 //! lower-numbered predecessor winning ties — is kept exactly as the
@@ -39,10 +42,10 @@ const NORM_LIMIT: f64 = 1e280;
 
 /// Reusable soft-decision Viterbi decoder.
 ///
-/// Construction precomputes the branch-metric sign table; each call to
-/// [`ViterbiDecoder::decode_soft_into`] then reuses the internal metric
-/// arrays and decision buffer, allocating only when a longer packet
-/// than any seen before grows the decision buffer.
+/// Construction precomputes the butterfly sign pairs; each call to
+/// [`ViterbiDecoder::decode_soft_into`] then reuses the metric buffers
+/// and decision buffer, allocating only when a longer packet than any
+/// seen before grows the decision buffer.
 ///
 /// ```
 /// use wlan_phy::{convolutional::encode, viterbi::ViterbiDecoder};
@@ -57,18 +60,19 @@ const NORM_LIMIT: f64 = 1e280;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ViterbiDecoder {
-    metric: [f64; N_STATES],
-    next: [f64; N_STATES],
-    /// Per next-state branch LLR signs `[sa1, sb1, sa2, sb2]` for the
-    /// two predecessors `ns >> 1` and `(ns >> 1) | 32`: the branch cost
-    /// is `(m + sa·la) + sb·lb` with `s = ±1`.
-    signs: [[f64; 4]; N_STATES],
-    /// `decisions[t]` bit `s`: the evicted (oldest) history bit of the
-    /// surviving predecessor of state `s` at step `t`.
+    /// Path metrics after an even (`[0]`) and odd (`[1]`) step count.
+    metrics: [[f64; N_STATES]; 2],
+    /// Butterfly signs: the branch from predecessor `j` on input 0
+    /// costs `(m + sa[j]·la) + sb[j]·lb`; the oldest bit or the input
+    /// set flips both signs.
+    signs: Signs,
+    /// `decisions[t]`: per state, the evicted (oldest) history bit of
+    /// its surviving predecessor at step `t` (layout in the module doc).
     decisions: Vec<u64>,
-    /// Scratch LLRs for [`ViterbiDecoder::decode_hard_into`].
-    hard_llrs: Vec<Llr>,
 }
+
+/// Per-butterfly branch signs `(sa, sb)`, each ±1.
+type Signs = ([f64; N_STATES / 2], [f64; N_STATES / 2]);
 
 impl Default for ViterbiDecoder {
     fn default() -> Self {
@@ -77,22 +81,18 @@ impl Default for ViterbiDecoder {
 }
 
 impl ViterbiDecoder {
-    /// Creates a decoder (precomputes the branch sign table).
+    /// Creates a decoder (precomputes the butterfly sign pairs).
     pub fn new() -> Self {
-        let mut signs = [[0.0f64; 4]; N_STATES];
         let sign = |bit: u8| if bit == 1 { 1.0 } else { -1.0 };
-        for (ns, s) in signs.iter_mut().enumerate() {
-            let input = (ns & 1) as u8;
-            let (a1, b1) = branch_output((ns >> 1) as u32, input);
-            let (a2, b2) = branch_output((ns >> 1) as u32 | 32, input);
-            *s = [sign(a1), sign(b1), sign(a2), sign(b2)];
+        let mut signs: Signs = ([0.0; N_STATES / 2], [0.0; N_STATES / 2]);
+        for j in 0..N_STATES / 2 {
+            let (a, b) = branch_output(j as u32, 0);
+            (signs.0[j], signs.1[j]) = (sign(a), sign(b));
         }
         ViterbiDecoder {
-            metric: [INF; N_STATES],
-            next: [INF; N_STATES],
+            metrics: [[INF; N_STATES]; 2],
             signs,
             decisions: Vec::new(),
-            hard_llrs: Vec::new(),
         }
     }
 
@@ -100,7 +100,6 @@ impl ViterbiDecoder {
     /// trellis steps (information bits) without reallocating.
     pub fn reserve_steps(&mut self, n_steps: usize) {
         self.decisions.reserve(n_steps);
-        self.hard_llrs.reserve(2 * n_steps);
     }
 
     /// Decodes a tail-terminated message from soft inputs into `bits`
@@ -128,46 +127,49 @@ impl ViterbiDecoder {
 
         self.decisions.clear();
         self.decisions.reserve(n_steps);
-        self.metric[0] = 0.0;
+        let (sa, sb) = &self.signs;
+        let [even, odd] = &mut self.metrics;
+        even[0] = 0.0;
 
-        for (t, pair) in llrs.chunks_exact(2).enumerate() {
-            let (la, lb) = (pair[0], pair[1]);
-            if t < 6 {
-                // Warm-up: only states 0..2^t are reachable (the state
-                // is the last six input bits), and both predecessors of
-                // a reachable next-state have their evicted bit 0, so
-                // the survivor is always the lower one.
-                self.next.fill(INF);
-                for ns in 0..(1usize << (t + 1)).min(N_STATES) {
-                    let s = &self.signs[ns];
-                    self.next[ns] = (self.metric[ns >> 1] + s[0] * la) + s[1] * lb;
-                }
-                self.decisions.push(0);
+        // Warm-up: only states 0..2^t are reachable, and both
+        // predecessors of a reachable next state have their evicted bit
+        // 0, so the survivor is always the lower one.
+        let warm = n_steps.min(6);
+        for (t, pair) in llrs[..2 * warm].chunks_exact(2).enumerate() {
+            let (src, dst) = if t % 2 == 0 {
+                (&*even, &mut *odd)
             } else {
-                let mut dec: u64 = 0;
-                for ns in 0..N_STATES {
-                    let s = &self.signs[ns];
-                    let c1 = (self.metric[ns >> 1] + s[0] * la) + s[1] * lb;
-                    let c2 = (self.metric[(ns >> 1) | 32] + s[2] * la) + s[3] * lb;
-                    // Strict `<`: ties keep the lower predecessor,
-                    // matching ascending-order full search.
-                    let take2 = c2 < c1;
-                    self.next[ns] = if take2 { c2 } else { c1 };
-                    dec |= (take2 as u64) << ns;
-                }
-                self.decisions.push(dec);
+                (&*odd, &mut *even)
+            };
+            dst.fill(INF);
+            for (ns, d) in dst.iter_mut().enumerate().take(2 << t) {
+                let (j, flip) = (ns >> 1, 1.0 - 2.0 * (ns & 1) as f64);
+                *d = (src[j] + flip * sa[j] * pair[0]) + flip * sb[j] * pair[1];
             }
-            std::mem::swap(&mut self.metric, &mut self.next);
-            if t % 4096 == 4095 {
-                self.renormalize_if_needed();
+            self.decisions.push(0);
+        }
+
+        // Steady state, two steps per iteration. The pairs start at the
+        // even step 6, so renormalization still follows steps 4095,
+        // 8191, … and the odd remainder step never needs it.
+        let mut quads = llrs[2 * warm..].chunks_exact(4);
+        for (k, q) in (&mut quads).enumerate() {
+            let d0 = acs(even, odd, &self.signs, q[0], q[1]);
+            let d1 = acs(odd, even, &self.signs, q[2], q[3]);
+            self.decisions.extend_from_slice(&[d0, d1]);
+            if (warm + 2 * k + 2).is_multiple_of(4096) {
+                renormalize_if_needed(even);
             }
+        }
+        if let &[la, lb] = quads.remainder() {
+            self.decisions.push(acs(even, odd, &self.signs, la, lb));
         }
 
         // Traceback from the maximum-likelihood end state (first state
         // wins ties, as in a forward minimum scan).
-        let mut state = 0usize;
-        let mut best = self.metric[0];
-        for (s, &m) in self.metric.iter().enumerate().skip(1) {
+        let last = &self.metrics[n_steps % 2];
+        let (mut state, mut best) = (0usize, last[0]);
+        for (s, &m) in last.iter().enumerate().skip(1) {
             if m < best {
                 best = m;
                 state = s;
@@ -176,39 +178,48 @@ impl ViterbiDecoder {
         bits.resize(n_steps, 0);
         for t in (0..n_steps).rev() {
             bits[t] = (state & 1) as u8; // the input that created this state
-            let evicted = (self.decisions[t] >> state) & 1;
+            let evicted = (self.decisions[t] >> (((state & 1) << 5) | (state >> 1))) & 1;
             state = (state >> 1) | ((evicted as usize) << 5);
         }
     }
+}
 
-    /// Decodes a tail-terminated message from hard bits (two coded bits
-    /// per step, A then B) into `bits`, using the internal LLR scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coded.len()` is odd.
-    pub fn decode_hard_into(&mut self, coded: &[u8], bits: &mut Vec<u8>) {
-        let mut llrs = std::mem::take(&mut self.hard_llrs);
-        llrs.clear();
-        llrs.extend(
-            coded
-                .iter()
-                .map(|&b| if b & 1 == 1 { -1.0f64 } else { 1.0 }),
-        );
-        self.decode_soft_into(&llrs, bits);
-        self.hard_llrs = llrs;
+/// One steady-state trellis step from `src` into `dst`: the butterfly
+/// ACS over all 32 predecessor pairs. Returns the step's decision word.
+#[inline(always)]
+fn acs(src: &[f64; N_STATES], dst: &mut [f64; N_STATES], s: &Signs, la: Llr, lb: Llr) -> u64 {
+    let (mut lo_word, mut hi_word) = (0u64, 0u64);
+    for g in (0..N_STATES / 2).step_by(4) {
+        let (mut ge, mut go) = (0u64, 0u64);
+        for k in 0..4 {
+            let j = g + k;
+            let (a, b) = (s.0[j] * la, s.1[j] * lb);
+            let (lo, hi) = (src[j], src[j + 32]);
+            let (e1, e2) = ((lo + a) + b, (hi - a) - b);
+            let (o1, o2) = ((lo - a) - b, (hi + a) + b);
+            // Strict `<`: ties keep the lower predecessor, matching
+            // ascending-order full search.
+            let (te, to) = (e2 < e1, o2 < o1);
+            dst[2 * j] = if te { e2 } else { e1 };
+            dst[2 * j + 1] = if to { o2 } else { o1 };
+            ge |= (te as u64) << k;
+            go |= (to as u64) << k;
+        }
+        lo_word |= ge << g;
+        hi_word |= go << g;
     }
+    lo_word | (hi_word << 32)
+}
 
-    /// Subtracts the minimum path metric from every state when the
-    /// metrics have drifted dangerously close to the sentinel. No-op on
-    /// realistic inputs (bit-identity with the reference is preserved
-    /// whenever the guard never fires).
-    fn renormalize_if_needed(&mut self) {
-        let min = self.metric.iter().copied().fold(f64::INFINITY, f64::min);
-        if min.abs() > NORM_LIMIT && min.is_finite() {
-            for m in self.metric.iter_mut() {
-                *m -= min;
-            }
+/// Subtracts the minimum path metric from every state when the metrics
+/// have drifted dangerously close to the sentinel. No-op on realistic
+/// inputs (bit-identity with the reference is preserved whenever the
+/// guard never fires).
+fn renormalize_if_needed(metric: &mut [f64; N_STATES]) {
+    let min = metric.iter().copied().fold(f64::INFINITY, f64::min);
+    if min.abs() > NORM_LIMIT && min.is_finite() {
+        for m in metric.iter_mut() {
+            *m -= min;
         }
     }
 }
@@ -239,24 +250,26 @@ pub fn decode_soft(llrs: &[Llr]) -> Vec<u8> {
     bits
 }
 
-/// Decodes a tail-terminated message from hard bits (two coded bits per
-/// step, A then B).
-///
-/// # Panics
-///
-/// Panics if `coded.len()` is odd.
-pub fn decode_hard(coded: &[u8]) -> Vec<u8> {
-    let mut dec = ViterbiDecoder::new();
-    let mut bits = Vec::new();
-    dec.decode_hard_into(coded, &mut bits);
-    bits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::convolutional::encode;
     use wlan_dsp::rng::Rng;
+
+    /// Hard-decision LLRs: +1 for bit 0, −1 for bit 1.
+    fn bpsk(coded: &[u8]) -> Vec<Llr> {
+        coded
+            .iter()
+            .map(|&b| if b == 1 { -1.0 } else { 1.0 })
+            .collect()
+    }
+
+    impl ViterbiDecoder {
+        /// Decision-buffer capacity, for the receiver's no-growth checks.
+        pub(crate) fn decision_capacity(&self) -> usize {
+            self.decisions.capacity()
+        }
+    }
 
     fn tailed_message(rng: &mut Rng, len: usize) -> Vec<u8> {
         let mut msg = vec![0u8; len];
@@ -270,7 +283,7 @@ mod tests {
         for len in [10usize, 50, 333] {
             let msg = tailed_message(&mut rng, len);
             let coded = encode(&msg);
-            assert_eq!(decode_hard(&coded), msg, "len {len}");
+            assert_eq!(decode_soft(&bpsk(&coded)), msg, "len {len}");
         }
     }
 
@@ -283,7 +296,7 @@ mod tests {
         for pos in [10usize, 90, 170, 310] {
             coded[pos] ^= 1;
         }
-        assert_eq!(decode_hard(&coded), msg);
+        assert_eq!(decode_soft(&bpsk(&coded)), msg);
     }
 
     #[test]
@@ -292,10 +305,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let msg = tailed_message(&mut rng, 100);
         let coded = encode(&msg);
-        let mut llrs: Vec<Llr> = coded
-            .iter()
-            .map(|&b| if b == 1 { -1.0 } else { 1.0 })
-            .collect();
+        let mut llrs = bpsk(&coded);
         for l in llrs.iter_mut().skip(40).take(8) {
             *l = 0.0;
         }
@@ -351,6 +361,27 @@ mod tests {
     }
 
     #[test]
+    fn renormalization_guard_keeps_huge_llr_decodes_exact() {
+        // |LLR| = 1e277: the best path metric falls by 2e277 per step,
+        // so |min metric| passes NORM_LIMIT after 4,096 steps and the
+        // guard fires after steps 4095 and 8191.
+        let mut rng = Rng::new(277);
+        let msg = tailed_message(&mut rng, 8_600);
+        let llrs: Vec<Llr> = bpsk(&encode(&msg)).iter().map(|l| l * 1e277).collect();
+        let mut dec = ViterbiDecoder::new();
+        let mut bits = Vec::new();
+        dec.decode_soft_into(&llrs, &mut bits);
+        assert_eq!(bits, msg);
+        // Unguarded, the best metric would end near −1.7e281; renormalized
+        // at step 8191 it is only 408 steps deep.
+        let best = dec.metrics[msg.len() % 2]
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        assert!(best.abs() < NORM_LIMIT, "guard never fired: best {best:e}");
+    }
+
+    #[test]
     fn empty_input() {
         assert!(decode_soft(&[]).is_empty());
     }
@@ -367,7 +398,7 @@ mod tests {
         // still return mostly correct bits via best-state fallback.
         let msg = vec![1u8; 40];
         let coded = encode(&msg);
-        let dec = decode_hard(&coded);
+        let dec = decode_soft(&bpsk(&coded));
         // Only the final constraint length or so of bits may be wrong.
         let head_errs = dec[..30]
             .iter()
@@ -405,7 +436,7 @@ mod tests {
         for steps in 1..=6usize {
             let msg: Vec<u8> = (0..steps).map(|i| (i % 2) as u8).collect();
             let coded = encode(&msg);
-            let dec = decode_hard(&coded);
+            let dec = decode_soft(&bpsk(&coded));
             assert_eq!(dec.len(), steps);
         }
     }

@@ -15,6 +15,8 @@
 
 use wlan_ams::CosimReceiver;
 use wlan_dsp::{Complex, Rng};
+use wlan_phy::convolutional::encode;
+use wlan_phy::puncture::{depuncture_into, puncture};
 use wlan_phy::viterbi::{decode_soft, Llr, ViterbiDecoder};
 use wlan_phy::Rate;
 use wlan_rf::nonlinearity::Nonlinearity;
@@ -135,14 +137,17 @@ fn reused_decoder_matches_decode_soft_on_random_streams() {
 
 /// Property: both soft decoders agree with the conformance reference
 /// trellis, so the production kernel is anchored to an independent
-/// implementation, not merely to itself.
+/// implementation, not merely to itself. The last stream is longer than
+/// 8,192 trellis steps, so it passes the renormalization check (every
+/// 4,096 steps) twice.
 #[test]
 fn soft_decoders_match_conformance_reference() {
     let mut rng = Rng::new(31);
     let mut dec = ViterbiDecoder::new();
     let mut got = Vec::new();
-    for trial in 0..10 {
-        let llrs = noisy_llrs(120 + 40 * trial, 0.6, &mut rng);
+    let lengths = (0..10).map(|trial| 120 + 40 * trial).chain([8_300]);
+    for (trial, message_bits) in lengths.enumerate() {
+        let llrs = noisy_llrs(message_bits, 0.6, &mut rng);
         dec.decode_soft_into(&llrs, &mut got);
         let reference = wlan_conformance::refimpl::viterbi_reference(&llrs);
         assert_eq!(got, reference, "trial {trial}");
@@ -150,34 +155,68 @@ fn soft_decoders_match_conformance_reference() {
 }
 
 /// Pure noise (no codeword structure) must still decode identically —
-/// the traceback tie-breaking rules are part of the bit contract.
+/// the traceback tie-breaking rules are part of the bit contract. The
+/// 6–9-step streams end with an arbitrary best state right after the
+/// warm-up, the two-step unroll and its one-step remainder.
 #[test]
 fn decoders_agree_on_pure_noise() {
     let mut rng = Rng::new(97);
     let mut dec = ViterbiDecoder::new();
     let mut got = Vec::new();
-    for _ in 0..10 {
-        let llrs: Vec<Llr> = (0..480).map(|_| 2.0 * rng.gaussian()).collect();
+    for steps in [240; 10].into_iter().chain(6..=9) {
+        let llrs: Vec<Llr> = (0..2 * steps).map(|_| 2.0 * rng.gaussian()).collect();
         dec.decode_soft_into(&llrs, &mut got);
         assert_eq!(got, decode_soft(&llrs));
         assert_eq!(got, wlan_conformance::refimpl::viterbi_reference(&llrs));
     }
 }
 
-/// The 1- and 5-bit messages sit inside the six-step trellis warm-up,
-/// where only part of the state space is reachable: the production
-/// decoder's warm-up shortcut must still match the reference trellis.
+/// Messages of 0–3 and 5 bits (plus the six tail bits) give trellis
+/// lengths 6–9 and 11: the six-step warm-up, where only part of the
+/// state space is reachable, then the two-step steady-state unroll and
+/// its one-step remainder. All must match the reference trellis.
 #[test]
 fn decoder_matches_reference_at_warm_up_edges() {
     let mut rng = Rng::new(0xdec0de);
     let mut dec = ViterbiDecoder::new();
     let mut got = Vec::new();
-    for message_bits in [1usize, 5] {
+    for message_bits in [0usize, 1, 2, 3, 5] {
         for trial in 0..5 {
             let llrs = noisy_llrs(message_bits, 0.7, &mut rng);
             dec.decode_soft_into(&llrs, &mut got);
             let reference = wlan_conformance::refimpl::viterbi_reference(&llrs);
             assert_eq!(got, reference, "{message_bits} bits, trial {trial}");
+        }
+    }
+}
+
+/// Punctured R48 (2/3) and R54 (3/4) streams through `depuncture_into`:
+/// the zero-LLR erasures make candidate costs tie exactly, so the
+/// lower-predecessor tie rule decides survivors and the decoded bits.
+#[test]
+fn decoder_matches_reference_on_punctured_streams() {
+    let mut rng = Rng::new(4854);
+    let mut dec = ViterbiDecoder::new();
+    let (mut got, mut full) = (Vec::new(), Vec::new());
+    for rate in [Rate::R48, Rate::R54] {
+        for trial in 0..20 {
+            // Message plus tail a multiple of 6, so both puncturing
+            // periods (2 and 3 information bits) divide it.
+            let mut bits = vec![0u8; 6 * (2 + (rng.next_u64() % 80) as usize)];
+            let payload = bits.len() - 6;
+            rng.bits(&mut bits[..payload]);
+            let coded = puncture(&encode(&bits), rate.code_rate());
+            // Integer-valued LLRs (hard decisions with errors and
+            // extra erasures) make exact ties common on noisy streams.
+            let noise = [0.0, 0.5, 1.0, 2.0][trial % 4];
+            let llrs: Vec<Llr> = coded
+                .iter()
+                .map(|&b| ((1.0 - 2.0 * b as f64) + noise * rng.gaussian()).round())
+                .collect();
+            depuncture_into(&llrs, rate.code_rate(), &mut full);
+            dec.decode_soft_into(&full, &mut got);
+            let reference = wlan_conformance::refimpl::viterbi_reference(&full);
+            assert_eq!(got, reference, "{rate:?} trial {trial}, noise {noise}");
         }
     }
 }
