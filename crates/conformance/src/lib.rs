@@ -33,6 +33,8 @@ pub mod mc;
 pub mod pinned;
 pub mod refimpl;
 
+pub use refimpl::upsample_reference;
+
 pub use golden::{
     assert_golden, bless_requested, check, DriftReport, GoldenStatus, Tolerance, TolerancePolicy,
 };

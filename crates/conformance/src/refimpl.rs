@@ -396,6 +396,48 @@ pub fn viterbi_reference(llrs: &[f64]) -> Vec<u8> {
     bits
 }
 
+/// Polyphase interpolation by `factor` with `taps_per_branch` taps per
+/// branch, from fresh (zero) history: the one-accumulator loop
+/// `wlan_dsp::resample::Upsampler` ran before its lane-group form, kept
+/// as that kernel's bit-identity reference. Each input is written into
+/// a ring of the last `taps_per_branch` samples; each of the `factor`
+/// branches (`h[p], h[p + factor], …` of
+/// `wlan_dsp::resample::interpolator_taps`) then sums the ring
+/// newest-first into one accumulator, with a wrap test on every tap.
+/// Factor 1 is a passthrough.
+///
+/// # Panics
+///
+/// Panics if `factor == 0` or `taps_per_branch == 0`.
+pub fn upsample_reference(factor: usize, taps_per_branch: usize, x: &[Complex]) -> Vec<Complex> {
+    assert!(factor >= 1 && taps_per_branch > 0, "empty interpolator");
+    if factor == 1 {
+        return x.to_vec();
+    }
+    let h = wlan_dsp::resample::interpolator_taps(factor, taps_per_branch);
+    let branches: Vec<Vec<f64>> = (0..factor)
+        .map(|p| (0..taps_per_branch).map(|k| h[p + k * factor]).collect())
+        .collect();
+    let tb = taps_per_branch;
+    let mut history = vec![Complex::ZERO; tb];
+    let mut pos = 0;
+    let mut out = Vec::with_capacity(x.len() * factor);
+    for &v in x {
+        history[pos] = v;
+        for branch in &branches {
+            let mut acc = Complex::ZERO;
+            let mut idx = pos;
+            for &t in branch {
+                acc += history[idx] * t;
+                idx = if idx == 0 { tb - 1 } else { idx - 1 };
+            }
+            out.push(acc);
+        }
+        pos = (pos + 1) % tb;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,11 +10,42 @@ use crate::complex::Complex;
 use crate::fir::{lowpass, Fir};
 use crate::window::Window;
 
+/// Gain-scaled anti-imaging prototype of an interpolator by `factor`
+/// with `taps_per_branch` taps per polyphase branch: `factor·h[i]` for
+/// the `factor·taps_per_branch`-tap lowpass `h`, in natural order.
+/// Polyphase branch `p` is taps `p, p + factor, p + 2·factor, …`.
+///
+/// # Panics
+///
+/// Panics if `factor < 2` or `taps_per_branch == 0`.
+pub fn interpolator_taps(factor: usize, taps_per_branch: usize) -> Vec<f64> {
+    assert!(factor >= 2, "an interpolating prototype needs factor >= 2");
+    assert!(taps_per_branch > 0, "need at least one tap per branch");
+    // Cutoff at the original Nyquist (0.5/factor of the new rate) with
+    // a little margin; Kaiser beta 8 gives ~ -80 dB images.
+    let h = lowpass(
+        0.5 / factor as f64 * 0.92,
+        factor * taps_per_branch,
+        Window::Kaiser(8.0),
+    );
+    h.into_iter().map(|t| t * factor as f64).collect()
+}
+
+/// Output phases one interpolation pass computes together.
+const LANES: usize = 4;
+
 /// Polyphase interpolator (upsampler) by an integer factor.
 ///
 /// Zero-stuffs by `factor` and applies an anti-imaging lowpass with a
 /// passband gain of `factor` so signal amplitude (and hence power of the
 /// in-band component) is preserved.
+///
+/// Output phases are computed four at a time: each group walks the
+/// taps once with four independent accumulators, so the adds of
+/// different phases overlap instead of forming one dependency chain.
+/// Every phase still sums its taps newest-first from zero, the order of
+/// the one-accumulator loop kept as `wlan_conformance`'s
+/// `upsample_reference`, so the output is bit-identical to it.
 ///
 /// # Example
 ///
@@ -27,8 +58,12 @@ use crate::window::Window;
 #[derive(Debug, Clone)]
 pub struct Upsampler {
     factor: usize,
-    /// Polyphase branches: branch `p` holds taps `h[p], h[p+L], ...`.
-    branches: Vec<Vec<f64>>,
+    /// Tap-major coefficient table, [`interpolator_taps`]: row `k`
+    /// (`coefs[k·factor..(k + 1)·factor]`) holds tap `k` of every
+    /// branch, so a group of phases reads adjacent coefficients.
+    coefs: Vec<f64>,
+    /// The last `taps_per_branch` inputs, newest first, stored twice:
+    /// `history[pos..pos + taps_per_branch]` is always the whole window.
     history: Vec<Complex>,
     pos: usize,
 }
@@ -46,26 +81,15 @@ impl Upsampler {
         if factor == 1 {
             return Upsampler {
                 factor,
-                branches: vec![vec![1.0]],
-                history: vec![Complex::ZERO],
+                coefs: vec![1.0],
+                history: vec![Complex::ZERO; 2],
                 pos: 0,
             };
         }
-        let total = factor * taps_per_branch;
-        // Cutoff at the original Nyquist (0.5/factor of the new rate) with
-        // a little margin; Kaiser beta 8 gives ~ -80 dB images.
-        let h = lowpass(0.5 / factor as f64 * 0.92, total, Window::Kaiser(8.0));
-        let branches = (0..factor)
-            .map(|p| {
-                (0..taps_per_branch)
-                    .map(|k| h[p + k * factor] * factor as f64)
-                    .collect()
-            })
-            .collect();
         Upsampler {
             factor,
-            branches,
-            history: vec![Complex::ZERO; taps_per_branch],
+            coefs: interpolator_taps(factor, taps_per_branch),
+            history: vec![Complex::ZERO; 2 * taps_per_branch],
             pos: 0,
         }
     }
@@ -96,20 +120,37 @@ impl Upsampler {
             out.extend_from_slice(x);
             return;
         }
-        let tb = self.history.len();
-        out.reserve(x.len() * self.factor);
+        let l = self.factor;
+        let taps = self.history.len() / 2;
+        let grouped = l - l % LANES;
+        out.reserve(x.len() * l);
         for &v in x {
+            self.pos = if self.pos == 0 {
+                taps - 1
+            } else {
+                self.pos - 1
+            };
             self.history[self.pos] = v;
-            for branch in &self.branches {
+            self.history[self.pos + taps] = v;
+            let window = &self.history[self.pos..self.pos + taps];
+            for p in (0..grouped).step_by(LANES) {
+                let mut acc = [Complex::ZERO; LANES];
+                for (&h, row) in window.iter().zip(self.coefs.chunks_exact(l)) {
+                    let c = &row[p..p + LANES];
+                    acc[0] += h * c[0];
+                    acc[1] += h * c[1];
+                    acc[2] += h * c[2];
+                    acc[3] += h * c[3];
+                }
+                out.extend_from_slice(&acc);
+            }
+            for p in grouped..l {
                 let mut acc = Complex::ZERO;
-                let mut idx = self.pos;
-                for &t in branch {
-                    acc += self.history[idx] * t;
-                    idx = if idx == 0 { tb - 1 } else { idx - 1 };
+                for (&h, row) in window.iter().zip(self.coefs.chunks_exact(l)) {
+                    acc += h * row[p];
                 }
                 out.push(acc);
             }
-            self.pos = (self.pos + 1) % tb;
         }
     }
 }

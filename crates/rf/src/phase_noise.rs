@@ -81,12 +81,15 @@ impl PhaseNoise {
     }
 
     /// The one stepping routine: fills the next block's LO phasors and
-    /// advances the walk over it.
+    /// advances the walk over it. The block's deviates come from one
+    /// [`Rng::fill_gaussian`], the same values per-sample draws give.
     fn step(&mut self) {
+        let mut g = [0.0; Self::BLOCK];
+        self.rng.fill_gaussian(&mut g);
         let mut r = Complex::cis(self.phase);
-        for slot in self.rotors.iter_mut() {
+        for (slot, &z) in self.rotors.iter_mut().zip(&g) {
             *slot = r;
-            let d = self.sigma * self.rng.gaussian();
+            let d = self.sigma * z;
             self.phase += d;
             r = if d.abs() <= SMALL_STEP_RAD {
                 r * small_cis(d)

@@ -10,8 +10,8 @@
 //! buffer lifetime in the hot path fails loudly here. Each production
 //! kernel is also compared against its reference (the staged RF chain,
 //! the conformance Viterbi trellis, the sample-by-sample co-simulation
-//! loop) with exact `==` on bits and `f64::to_bits` on samples: "close"
-//! is failure here.
+//! loop, the conformance interpolation loop) with exact `==` on bits and
+//! `f64::to_bits` on samples: "close" is failure here.
 
 use wlan_ams::CosimReceiver;
 use wlan_dsp::{Complex, Rng};
@@ -331,5 +331,64 @@ fn cosim_block_path_matches_sample_by_sample() {
             assert_bits_eq(&got, &want, &format!("{name} pass {pass}"));
             assert_eq!(block.steps_taken(), serial.steps_taken(), "{name} steps");
         }
+    }
+}
+
+/// Interpolator: the lane-group `Upsampler` equals the one-accumulator
+/// conformance loop for every factor that exercises a different mix of
+/// four-phase groups and one-lane leftovers (1–5, 8, 16), with branches
+/// of one tap (a window of the newest sample alone), an odd tap count,
+/// and the scene renderer's 32. Inputs are shorter and longer than the
+/// history, so the zero-filled start and the mirror wrap are both hit.
+#[test]
+fn upsampler_matches_reference_across_factors_and_taps() {
+    let mut rng = Rng::new(0x0a55);
+    for factor in [1usize, 2, 3, 4, 5, 8, 16] {
+        for taps in [1usize, 7, 32] {
+            for len in [0usize, 5, 301] {
+                let x = noise_burst(&mut rng, len, 1.0);
+                let got = wlan_dsp::resample::Upsampler::new(factor, taps).process(&x);
+                let want = wlan_conformance::upsample_reference(factor, taps, &x);
+                assert_bits_eq(
+                    &got,
+                    &want,
+                    &format!("factor {factor}, taps {taps}, len {len}"),
+                );
+            }
+        }
+    }
+}
+
+/// Split-call continuity: one `process_into` over a frame equals
+/// several over consecutive pieces of it, including empty pieces and
+/// pieces shorter than the history, and `reset` mid-stream restarts
+/// from zero history exactly like a fresh interpolator.
+#[test]
+fn upsampler_carries_state_across_calls_and_resets() {
+    let mut rng = Rng::new(0x5b1);
+    let pieces = [0usize, 3, 0, 1, 40, 5, 0, 31, 32, 33, 120];
+    let total: usize = pieces.iter().sum();
+    for (factor, taps) in [(4usize, 32usize), (3, 7), (5, 1), (8, 32), (2, 33)] {
+        let x = noise_burst(&mut rng, total, 1.0);
+        let want = wlan_conformance::upsample_reference(factor, taps, &x);
+        let mut up = wlan_dsp::resample::Upsampler::new(factor, taps);
+        let (mut got, mut piece_out) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        for len in pieces {
+            up.process_into(&x[start..start + len], &mut piece_out);
+            assert_eq!(piece_out.len(), factor * len);
+            got.extend_from_slice(&piece_out);
+            start += len;
+        }
+        let what = format!("factor {factor}, taps {taps}");
+        assert_bits_eq(&got, &want, &format!("{what}, split"));
+
+        // Reset with a full history at an arbitrary ring position,
+        // then a fresh frame.
+        up.reset();
+        let y = noise_burst(&mut rng, 77, 1.0);
+        up.process_into(&y, &mut got);
+        let fresh = wlan_conformance::upsample_reference(factor, taps, &y);
+        assert_bits_eq(&got, &fresh, &format!("{what}, after reset"));
     }
 }
